@@ -2,7 +2,9 @@
 
 Traces are expensive to construct (page tables for every tenant), so a
 small keyed cache shares them between configurations evaluated at the same
-sweep point: simulators only read the tenant systems, never mutate them.
+sweep point.  Simulators change a tenant system only by backing
+guest-physical pages with host frames on first touch; checkpoints log
+those backings, so a run resumes exactly on a freshly built trace too.
 
 The cache is strictly **per process**.  Parallel runs through
 :mod:`repro.runner` execute sweep points in worker processes, each of which
@@ -230,8 +232,9 @@ def run_point(
     (the CLI's ``--trace-file`` path); the benchmark/tenant coordinates
     then only label the point.  The ``checkpoint_*`` / ``resume_from``
     knobs plumb straight into :func:`repro.sim.simulator.simulate` —
-    ``resume_from`` restores a mid-run snapshot (no trace is synthesized
-    at all; the snapshot carries its own state).
+    ``resume_from`` restores a mid-run snapshot onto the point's trace
+    (supplied or cached as for a fresh run), which must match the
+    trace the snapshot recorded.
     """
     if _point_hook is not None:
         result = _point_hook(
@@ -253,12 +256,14 @@ def run_point(
                 interleaving=interleaving,
                 result=result,
             )
+    if trace is None:
+        trace = cached_trace(benchmark, num_tenants, interleaving, scale, seed=seed)
     if resume_from is not None:
-        # The snapshot carries the full trace and loop state; nothing to
-        # synthesize.  The config is still cross-checked inside simulate.
+        # The snapshot carries the loop state and run options; the trace
+        # and config are cross-checked inside simulate.
         result = simulate(
             config,
-            trace=None,
+            trace,
             resume_from=resume_from,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
@@ -272,8 +277,6 @@ def run_point(
             interleaving=interleaving,
             result=result,
         )
-    if trace is None:
-        trace = cached_trace(benchmark, num_tenants, interleaving, scale, seed=seed)
     warmup = scale.warmup_for(len(trace.packets))
     result = simulate(
         config,

@@ -178,10 +178,10 @@ def _apply_trace_file(
     indices.  Returns the patched :class:`HyperTrace`, or ``None`` after
     printing actionable errors to stderr.
     """
-    from repro.trace.records import compute_trace_stats, load_trace
+    from repro.trace.constructor import with_trace_file
 
     try:
-        packets = load_trace(Path(trace_file))
+        trace = with_trace_file(trace, trace_file, max_packets=max_packets)
     except OSError as error:
         print(f"cannot read trace file {trace_file}: {error}", file=sys.stderr)
         return None
@@ -193,14 +193,9 @@ def _apply_trace_file(
             file=sys.stderr,
         )
         return None
-    if not packets:
+    if not trace.packets:
         print(f"trace file {trace_file} contains no packets", file=sys.stderr)
         return None
-    if max_packets is not None:
-        packets = packets[:max_packets]
-    trace = dataclasses.replace(
-        trace, packets=packets, stats=compute_trace_stats(packets)
-    )
     if not no_validate:
         from repro.trace.validate import validate_trace
 
@@ -221,6 +216,22 @@ def _apply_trace_file(
                 )
             return None
     return trace
+
+
+#: Flags that shape a run's trace.
+_TRACE_FLAGS = (
+    "--benchmark", "--tenants", "--interleaving", "--packets", "--seed",
+    "--trace-file",
+)
+
+
+def _gives_trace_flags(args: argparse.Namespace) -> bool:
+    """Whether the command line names any trace flag (abbreviated too)."""
+    for token in getattr(args, "command_line", ()):
+        name = token.split("=", 1)[0]
+        if len(name) > 2 and any(flag.startswith(name) for flag in _TRACE_FLAGS):
+            return True
+    return False
 
 
 def _print_fabric_summary(result) -> None:
@@ -291,11 +302,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 return _engine_unsupported("vectorized", name)
 
     if args.resume_from:
-        # The checkpoint carries the full engine state — trace, faults,
-        # and observability included — so flags that would rebuild any of
-        # those cannot apply to a resumed run.
+        # The checkpoint carries the engine state — faults and
+        # observability included — so flags that would rebuild those
+        # cannot apply to a resumed run.  The trace is rebuilt from the
+        # trace flags when any is given, and must then match the one the
+        # checkpoint recorded; otherwise from the checkpoint's record.
         for flag, name in (
-            (args.trace_file, "--trace-file"),
             (args.trace_out, "--trace-out"),
             (args.metrics_out, "--metrics-out"),
             (args.fault_plan, "--fault-plan"),
@@ -307,6 +319,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
+    trace = None
+    if not args.resume_from or _gives_trace_flags(args):
+        trace = construct_trace(
+            profile_by_name(args.benchmark),
+            num_tenants=args.tenants,
+            packets_per_tenant=200_000,
+            interleaving=args.interleaving,
+            seed=args.seed,
+            max_packets=args.packets,
+        )
+        if args.trace_file:
+            trace = _apply_trace_file(
+                trace, args.trace_file, args.no_validate,
+                max_packets=args.packets,
+            )
+            if trace is None:
+                return 2
+    if args.resume_from:
         from repro.sim.checkpoint import (
             CheckpointError,
             SimulationInterrupted,
@@ -318,7 +348,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         try:
             result = simulate(
                 config,
-                None,
+                trace,
                 resume_from=args.resume_from,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path,
@@ -340,21 +370,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(result.summary())
         _print_fabric_summary(result)
         return 0
-
-    trace = construct_trace(
-        profile_by_name(args.benchmark),
-        num_tenants=args.tenants,
-        packets_per_tenant=200_000,
-        interleaving=args.interleaving,
-        seed=args.seed,
-        max_packets=args.packets,
-    )
-    if args.trace_file:
-        trace = _apply_trace_file(
-            trace, args.trace_file, args.no_validate, max_packets=args.packets
-        )
-        if trace is None:
-            return 2
     fault_plan = None
     if args.fault_plan:
         from repro.faults import FaultPlanFormatError, load_plan
@@ -629,18 +644,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--slo-backpressure needs --slo-rules", file=sys.stderr)
         return 2
 
-    trace = None
     fault_plan = None
     observability = None
     if args.resume_from is None:
-        trace = construct_trace(
-            profile_by_name(args.benchmark),
-            num_tenants=args.tenants,
-            packets_per_tenant=200_000,
-            interleaving=args.interleaving,
-            seed=args.seed,
-            max_packets=args.packets,
-        )
         if args.fault_plan:
             from repro.faults import FaultPlanFormatError, load_plan
 
@@ -668,6 +674,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--span-out cannot be combined with --resume-from",
               file=sys.stderr)
         return 2
+    trace = None
+    if args.resume_from is None or _gives_trace_flags(args):
+        # A warm restart rebinds the checkpointed engine onto this trace,
+        # which must match the one the checkpoint recorded; with no trace
+        # flags given it is rebuilt from the checkpoint's record instead.
+        trace = construct_trace(
+            profile_by_name(args.benchmark),
+            num_tenants=args.tenants,
+            packets_per_tenant=200_000,
+            interleaving=args.interleaving,
+            seed=args.seed,
+            max_packets=args.packets,
+        )
 
     async def _serve() -> None:
         server = build_server(
@@ -1467,9 +1486,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--resume-from", default=None, metavar="PATH",
-        help="restore a checkpoint file and run it to completion "
-             "(workload/trace flags are ignored: the checkpoint carries "
-             "the full engine state)",
+        help="restore a checkpoint file and run it to completion; the "
+             "trace is rebuilt from the trace flags (--benchmark, "
+             "--tenants, --interleaving, --packets, --seed, --trace-file) "
+             "when any is given and must match the checkpoint's (exit 2 "
+             "otherwise), else from the checkpoint's record of it",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -1557,8 +1578,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--resume-from", default=None, metavar="PATH",
-        help="warm-restart from a service checkpoint (workload flags are "
-             "ignored: the checkpoint carries the full engine state)",
+        help="warm-restart from a service checkpoint; the trace is "
+             "rebuilt from the trace flags when any is given and must "
+             "match the checkpoint's (exit 2 otherwise), else from the "
+             "checkpoint's record of it",
     )
     serve.add_argument(
         "--no-metrics", action="store_true",
@@ -1820,7 +1843,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    args.command_line = list(argv)
     return args.func(args)
 
 

@@ -36,6 +36,12 @@ class FrameAllocator:
         self._base_frame = base >> PAGE_SHIFT_4K
         self._next = 0
         self._scatter = scatter
+        #: Host-frame backings made since the log was started, in order,
+        #: as ``(address-space name, gPA)`` pairs appended by
+        #: :meth:`~repro.mem.pagetable.AddressSpace.ensure_backed`;
+        #: ``None`` while not logging.  Checkpoints store it so a resumed
+        #: run can replay the same backings onto a freshly built system.
+        self.backing_log = None
 
     @property
     def frames_allocated(self) -> int:

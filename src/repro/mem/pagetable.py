@@ -280,8 +280,11 @@ class AddressSpace:
         try:
             return self.host_table.translate(gpa)
         except TranslationFault:
-            host_frame = self.host_table._allocator.allocate(1)
+            allocator = self.host_table._allocator
+            host_frame = allocator.allocate(1)
             self.host_table.map_page(gpa, host_frame)
+            if allocator.backing_log is not None:
+                allocator.backing_log.append((self.name, gpa))
             return host_frame + (gpa & 0xFFF)
 
     def translate(self, giova: int) -> int:

@@ -27,8 +27,10 @@ docs/SERVICE.md).
 
 Everything here is synchronous and picklable: the asyncio server calls
 :meth:`submit` from its single dispatcher task, and warm restart pickles
-the whole engine through the PR 5 checkpoint machinery (engine kind
-``"service"``).
+the engine state through the simulation checkpoint machinery (engine
+kind ``"service"``).  As offline, a service snapshot references the
+tenant system instead of containing it; a warm restart rebinds it onto
+the restarted server's trace.
 """
 
 from __future__ import annotations
@@ -306,9 +308,10 @@ class ServiceEngine:
     def save_checkpoint(self, path, extra_state: Optional[dict] = None):
         """Snapshot this engine (and any ``extra_state``) to ``path``.
 
-        The whole engine pickles through the same crash-safe machinery as
-        offline runs (atomic tmp+fsync+replace, versioned header); a
-        restored engine continues submitting where this one stopped.
+        The engine state pickles through the same crash-safe machinery as
+        offline runs (atomic tmp+fsync+replace, versioned header, the
+        trace recorded by identity only); a restored engine continues
+        submitting where this one stopped.
         """
         state = {"service": self}
         if extra_state:
@@ -318,38 +321,30 @@ class ServiceEngine:
             packets_done=self.processed,
             config=self.sim._config_dict(),
             state=state,
+            trace=self.sim.trace,
         )
         return snapshot.save(path)
 
 
-def load_service_checkpoint(path, expect_config: Optional[ArchConfig] = None):
+def load_service_checkpoint(
+    path,
+    expect_config: Optional[ArchConfig] = None,
+    trace: Optional[HyperTrace] = None,
+):
     """Restore a :class:`ServiceEngine` checkpoint written by
     :meth:`ServiceEngine.save_checkpoint`.
 
     Returns ``(engine, state)`` where ``state`` is the full checkpoint
     state dict (the server stores its admission controller alongside the
-    engine).  Cross-checks the engine kind, and the config when one is
-    expected, mirroring :func:`repro.sim.checkpoint.resume_simulation`.
+    engine).  The engine is rebound onto ``trace`` (rebuilt from the
+    snapshot's record when ``None``).  Cross-checks the engine kind, the
+    trace, and the config when one is expected, as
+    :meth:`repro.sim.checkpoint.SimulationCheckpoint.load` does.
     """
-    snapshot = SimulationCheckpoint.load(path)
-    if snapshot.engine != SERVICE_ENGINE_KIND:
-        raise CheckpointError(
-            f"checkpoint {path} was written by the {snapshot.engine!r} engine; "
-            f"cannot warm-restart the service from it"
-        )
-    if expect_config is not None:
-        from repro.core.config_io import config_to_dict
-
-        expected = config_to_dict(expect_config)
-        if expected != snapshot.config:
-            mismatched = sorted(
-                key for key in set(expected) | set(snapshot.config)
-                if expected.get(key) != snapshot.config.get(key)
-            )
-            raise CheckpointError(
-                f"checkpoint {path} was written for a different config "
-                f"(differs in: {', '.join(mismatched)})"
-            )
+    snapshot = SimulationCheckpoint.load(
+        path, trace=trace, expect_engine=SERVICE_ENGINE_KIND,
+        expect_config=expect_config,
+    )
     engine = snapshot.state["service"]
     if not isinstance(engine, ServiceEngine):
         raise CheckpointError(

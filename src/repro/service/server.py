@@ -1149,9 +1149,11 @@ def build_server(
     """Assemble a server around a fresh or warm-restarted engine.
 
     ``resume_from`` loads a service checkpoint written by a previous
-    graceful shutdown: the restored engine continues at its exact model
-    state, the restored admission controller keeps its cumulative stats
-    but resets process-bound runtime (in-flight counts, backpressure
+    graceful shutdown onto ``trace`` (which must be the trace the
+    snapshot was written on; ``None`` rebuilds it from the snapshot's
+    record): the restored engine continues at its exact model state,
+    the restored admission controller keeps its cumulative stats but
+    resets process-bound runtime (in-flight counts, backpressure
     latches, token-bucket refill clocks, which reference the dead
     process's monotonic epoch).
 
@@ -1172,7 +1174,9 @@ def build_server(
         tracer = observability.tracer if observability is not None else None
         watcher = SloWatcher(slo_rules, tracer=tracer)
     if resume_from is not None:
-        engine, state = load_service_checkpoint(resume_from, expect_config=config)
+        engine, state = load_service_checkpoint(
+            resume_from, expect_config=config, trace=trace
+        )
         controller = state.get("admission")
         if isinstance(controller, AdmissionController):
             if admission is not None:

@@ -3,7 +3,7 @@
 A :class:`SimulationCheckpoint` snapshots a live simulator at a *packet
 barrier* — the instant after one packet fully dispatched and the cursor
 advanced.  Everything the run loop will ever touch again is reachable
-from three roots, all plain picklable Python data:
+from three roots:
 
 * the simulator itself (fabric, caches, PTB heaps, prefetch buffer and
   SID-predictor history, fault-injector RNG, telemetry window, counters),
@@ -12,14 +12,34 @@ from three roots, all plain picklable Python data:
 * the loop-state dataclass (``_AnalyticLoop`` or the event twin's
   ``_EventLoop``, which carries the DES event queue).
 
-Pickling the three together in one protocol-5 stream preserves object
-identity across the graph (engines referenced from both the simulator
-and the loop's ``active`` list restore as the *same* objects), so a
-resumed run re-enters ``_run_loop`` with state bit-identical to the
-interrupted one — floats round-trip exactly, ``random.Random`` restores
-its Mersenne state, heaps and insertion-ordered dicts keep their order.
-``tests/test_checkpoint.py`` pins byte-identity of resumed results for
-both engines.
+A snapshot holds that engine state only, never the trace it runs on.
+The trace — packets plus the tenant system (page tables, walkers, RNGs)
+— is immutable input that grows with the run's length, so the state
+pickler writes *references* to trace-owned objects instead of the
+objects themselves (a persistent-id pickler), and the Belady oracle,
+which is a pure function of the packets, as just its cursor.  In their
+place the header records:
+
+* the trace's identity: its origin (construction parameters, or a trace
+  file's path and sha256) plus a sha256 of its packets
+  (:meth:`~repro.trace.constructor.HyperTrace.identity`, hashed once per
+  trace object at its first save);
+* the host-frame backings made since the trace was built.  The tenant
+  system is *not* immutable: walks back guest-physical pages with host
+  frames on first touch, from one shared allocator, so the order of
+  first touches decides every later hPA.  The allocator logs those
+  backings (``FrameAllocator.backing_log``) and the snapshot stores the
+  log plus the allocator cursor.
+
+On load, the caller supplies the trace or it is rebuilt from its origin.
+The identity must match, else :class:`CheckpointError` ("trace
+mismatch").  The logged backings missing from that trace are replayed in
+order, the allocator cursor is checked, and the state is unpickled with
+its references resolved against the trace.  The resumed run re-enters
+``_run_loop`` with state bit-identical to the interrupted one — floats
+round-trip exactly, ``random.Random`` restores its Mersenne state, heaps
+and insertion-ordered dicts keep their order.  ``tests/test_checkpoint.py``
+pins byte-identity of resumed results for both engines.
 
 Writes are atomic and durable: the stream goes to a same-directory temp
 file, is fsync'd, and then ``os.replace``\\ s the target, so a crash
@@ -35,6 +55,7 @@ and raises :class:`SimulationInterrupted` carrying the snapshot path.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import signal
@@ -43,8 +64,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.sim.oracle import FutureOracle, oracle_for_trace
+
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, os.PathLike]
 
@@ -161,12 +184,18 @@ class CheckpointPolicy:
 
 @dataclass
 class SimulationCheckpoint:
-    """One versioned snapshot of a simulation at a packet barrier."""
+    """One versioned snapshot of a simulation at a packet barrier.
+
+    ``state`` is the engine state; ``trace`` is the
+    :class:`~repro.trace.constructor.HyperTrace` it runs on, which the
+    snapshot references but does not contain.
+    """
 
     engine: str
     packets_done: int
     config: Dict[str, Any]
     state: Dict[str, Any]
+    trace: Any = None
     version: int = CHECKPOINT_VERSION
 
     # -- persistence ---------------------------------------------------
@@ -174,12 +203,16 @@ class SimulationCheckpoint:
         """Atomically write the snapshot to ``path`` (tmp + fsync + replace)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        allocator = self.trace.system.host_allocator
+        backings = allocator.backing_log
+        header = {
             "version": self.version,
             "engine": self.engine,
             "packets_done": self.packets_done,
             "config": self.config,
-            "state": self.state,
+            "trace": self.trace.identity(),
+            "backings": None if backings is None else list(backings),
+            "host_frames": allocator.frames_allocated,
         }
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
@@ -187,7 +220,8 @@ class SimulationCheckpoint:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(CHECKPOINT_MAGIC)
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(header, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                _StatePickler(handle, self.trace).dump(self.state)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
@@ -201,8 +235,24 @@ class SimulationCheckpoint:
         return path
 
     @classmethod
-    def load(cls, path: PathLike) -> "SimulationCheckpoint":
-        """Read and validate a snapshot written by :meth:`save`."""
+    def load(
+        cls,
+        path: PathLike,
+        trace=None,
+        expect_engine: Optional[str] = None,
+        expect_config=None,
+    ) -> "SimulationCheckpoint":
+        """Read a snapshot written by :meth:`save` and bind it to a trace.
+
+        ``trace`` is the run's trace; with ``None`` — or when ``trace``
+        already holds host backings the snapshot does not know — the
+        trace is rebuilt from the origin the snapshot recorded.
+        ``expect_engine`` / ``expect_config`` cross-check that the caller
+        is resuming the run it thinks it is: a snapshot from another
+        engine, another architecture, or another trace raises
+        :class:`CheckpointError` instead of producing numbers for the
+        wrong experiment.
+        """
         path = Path(path)
         if not path.exists():
             raise CheckpointError(f"checkpoint not found: {path}")
@@ -214,22 +264,30 @@ class SimulationCheckpoint:
                         f"{path} is not a simulation checkpoint "
                         f"(bad magic {magic!r})"
                     )
-                payload = pickle.load(handle)
+                header = pickle.load(handle)
+                version = header.get("version")
+                if version != CHECKPOINT_VERSION:
+                    raise CheckpointError(
+                        f"checkpoint {path} has format version {version}; "
+                        f"this build reads version {CHECKPOINT_VERSION}"
+                    )
+                blob = handle.read()
         except CheckpointError:
             raise
         except Exception as exc:
             raise CheckpointError(f"failed to read checkpoint {path}: {exc}") from exc
-        version = payload.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has format version {version}; this build "
-                f"reads version {CHECKPOINT_VERSION}"
-            )
+        _check_expected(path, header, expect_engine, expect_config)
+        trace = _bind_trace(path, header, trace)
+        try:
+            state = _StateUnpickler(io.BytesIO(blob), trace).load()
+        except Exception as exc:
+            raise CheckpointError(f"failed to read checkpoint {path}: {exc}") from exc
         return cls(
-            engine=payload["engine"],
-            packets_done=payload["packets_done"],
-            config=payload["config"],
-            state=payload["state"],
+            engine=header["engine"],
+            packets_done=header["packets_done"],
+            config=header["config"],
+            state=state,
+            trace=trace,
             version=version,
         )
 
@@ -264,6 +322,148 @@ class SimulationCheckpoint:
         return sim._run_loop(router, loop, policy)
 
 
+# ----------------------------------------------------------------------
+# Trace references
+# ----------------------------------------------------------------------
+def _trace_objects(trace) -> Dict[tuple, Any]:
+    """Trace-owned objects engine state may reference, by reference id."""
+    system = trace.system
+    objects = {
+        ("trace",): trace,
+        ("packets",): trace.packets,
+        ("system",): system,
+        ("workloads",): system.workloads,
+        ("host_allocator",): system.host_allocator,
+    }
+    for sid, workload in system.workloads.items():
+        objects[("workload", sid)] = workload
+        objects[("space", sid)] = workload.space
+        objects[("walker", sid)] = workload.walker
+    return objects
+
+
+class _StatePickler(pickle.Pickler):
+    """Pickles engine state, writing trace-owned objects as references.
+
+    The Belady oracle is a pure function of the trace's packets plus its
+    cursor, so it is written as just the cursor.
+    """
+
+    def __init__(self, handle, trace):
+        super().__init__(handle, protocol=pickle.HIGHEST_PROTOCOL)
+        self._refs = {id(obj): ref for ref, obj in _trace_objects(trace).items()}
+
+    def persistent_id(self, obj):
+        ref = self._refs.get(id(obj))
+        if ref is None and type(obj) is FutureOracle:
+            return ("oracle", obj.cursor)
+        return ref
+
+
+class _StateUnpickler(pickle.Unpickler):
+    """Resolves :class:`_StatePickler` references against a trace."""
+
+    def __init__(self, handle, trace):
+        super().__init__(handle)
+        self._trace = trace
+        self._objects = _trace_objects(trace)
+
+    def persistent_load(self, ref):
+        obj = self._objects.get(ref)
+        if obj is None:
+            if ref[0] != "oracle":
+                raise pickle.UnpicklingError(f"unknown trace reference {ref!r}")
+            obj = oracle_for_trace(self._trace.packets)
+            obj.advance_to(ref[1])
+            self._objects[ref] = obj
+        return obj
+
+
+def _check_expected(path, header, expect_engine, expect_config) -> None:
+    if expect_engine is not None and header["engine"] != expect_engine:
+        raise CheckpointError(
+            f"checkpoint {path} was written by the {header['engine']!r} "
+            f"engine; cannot resume it as {expect_engine!r}"
+        )
+    if expect_config is not None:
+        from repro.core.config_io import config_to_dict
+
+        differs = _differing_keys(config_to_dict(expect_config), header["config"])
+        if differs:
+            raise CheckpointError(
+                f"checkpoint {path} was written for a different config "
+                f"(differs in: {', '.join(differs)})"
+            )
+
+
+def _differing_keys(expected: Dict, actual: Dict, ignore=()) -> list:
+    return sorted(
+        key for key in set(expected) | set(actual)
+        if key not in ignore and expected.get(key) != actual.get(key)
+    )
+
+
+def _bind_trace(path, header, trace):
+    """Verify ``trace`` (or rebuild it) and replay the logged backings.
+
+    Returns the trace the state's references resolve against.
+    """
+    from repro.trace.constructor import rebuild_trace
+
+    identity = header["trace"]
+    if trace is not None:
+        _check_identity(path, identity, trace)
+        if not _replayable(trace, header):
+            trace = None
+    if trace is None:
+        try:
+            trace = rebuild_trace(identity)
+        except (ValueError, OSError) as exc:
+            raise CheckpointError(
+                f"cannot rebuild the trace of checkpoint {path}: {exc}"
+            ) from exc
+        _check_identity(path, identity, trace)
+    allocator = trace.system.host_allocator
+    backings = header["backings"]
+    if backings is not None:
+        try:
+            trace.system.replay_backings(
+                backings[len(allocator.backing_log):]
+            )
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(
+                f"trace mismatch: cannot replay the host backings of "
+                f"checkpoint {path}: {exc}"
+            ) from exc
+    if allocator.frames_allocated != header["host_frames"]:
+        raise CheckpointError(
+            f"trace mismatch: checkpoint {path} expects host frame cursor "
+            f"{header['host_frames']}, the trace is at "
+            f"{allocator.frames_allocated}"
+        )
+    return trace
+
+
+def _check_identity(path, identity, trace) -> None:
+    # A trace file's path is only where to find it; its sha256 is what
+    # identifies it.
+    differs = _differing_keys(identity, trace.identity(), ignore=("path",))
+    if differs:
+        raise CheckpointError(
+            f"trace mismatch: checkpoint {path} was written for a different "
+            f"trace (differs in: {', '.join(differs)})"
+        )
+
+
+def _replayable(trace, header) -> bool:
+    """Whether ``trace``'s host backings are a prefix of the snapshot's."""
+    log = trace.system.host_allocator.backing_log
+    backings = header["backings"]
+    if log is None or backings is None:
+        return log is None and backings is None
+    return len(log) <= len(backings) and log == backings[: len(log)]
+
+
 def _fsync_dir(directory: Path) -> None:
     """Best-effort directory fsync so the rename itself is durable."""
     try:
@@ -285,36 +485,21 @@ def resume_simulation(
     checkpoint_every: int = 0,
     checkpoint_path: Optional[PathLike] = None,
     checkpoint_hook: Optional[Callable[[int, str], None]] = None,
+    trace=None,
 ):
-    """Load ``path`` and run the snapshotted simulation to completion.
+    """Load ``path`` onto ``trace`` and run the simulation to completion.
 
-    ``expect_engine`` / ``expect_config`` cross-check that the caller is
-    resuming the run it thinks it is: a snapshot from the other engine or
-    from a different architecture raises :class:`CheckpointError` instead
-    of silently producing numbers for the wrong experiment.  When
-    continued checkpointing is requested (``checkpoint_every`` > 0)
-    without an explicit ``checkpoint_path``, snapshots keep going to the
-    file being resumed.
+    ``trace`` is the run's trace (rebuilt from the snapshot's record of
+    it when ``None``); ``expect_engine`` / ``expect_config`` are checked
+    as in :meth:`SimulationCheckpoint.load`.  When continued
+    checkpointing is requested (``checkpoint_every`` > 0) without an
+    explicit ``checkpoint_path``, snapshots keep going to the file being
+    resumed.
     """
-    snapshot = SimulationCheckpoint.load(path)
-    if expect_engine is not None and snapshot.engine != expect_engine:
-        raise CheckpointError(
-            f"checkpoint {path} was written by the {snapshot.engine!r} engine; "
-            f"cannot resume it as {expect_engine!r}"
-        )
-    if expect_config is not None:
-        from repro.core.config_io import config_to_dict
-
-        expected = config_to_dict(expect_config)
-        if expected != snapshot.config:
-            mismatched = sorted(
-                key for key in set(expected) | set(snapshot.config)
-                if expected.get(key) != snapshot.config.get(key)
-            )
-            raise CheckpointError(
-                f"checkpoint {path} was written for a different config "
-                f"(differs in: {', '.join(mismatched)})"
-            )
+    snapshot = SimulationCheckpoint.load(
+        path, trace=trace, expect_engine=expect_engine,
+        expect_config=expect_config,
+    )
     if checkpoint_every > 0 and checkpoint_path is None:
         checkpoint_path = path
     return snapshot.resume(

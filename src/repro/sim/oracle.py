@@ -65,6 +65,23 @@ class FutureOracle:
         queue.popleft()
         self._cursor += 1
 
+    def advance_to(self, cursor: int) -> None:
+        """Fast-forward past every access before position ``cursor``.
+
+        Equivalent to consuming the first ``cursor`` accesses in order;
+        a checkpoint stores only the cursor and rebuilds the oracle from
+        the trace with this.
+        """
+        if not self._cursor <= cursor <= self._length:
+            raise ValueError(
+                f"cannot advance the oracle from {self._cursor} to {cursor} "
+                f"(length {self._length})"
+            )
+        for queue in self._positions.values():
+            while queue and queue[0] < cursor:
+                queue.popleft()
+        self._cursor = cursor
+
     def next_use(self, key: Hashable) -> Optional[int]:
         """Position of the next access to ``key``, or ``None`` if never."""
         queue = self._positions.get(key)

@@ -164,9 +164,10 @@ class HyperSimulator:
         *fabric-wide* accepted packets.
 
         ``checkpoint_every`` > 0 (with ``checkpoint_path``) snapshots the
-        full engine state to ``checkpoint_path`` every N processed packets
-        (atomic tmp+rename write); a run restored from any such snapshot
-        via :func:`repro.sim.checkpoint.resume_simulation` produces a
+        engine state, plus the trace's identity and host backings, to
+        ``checkpoint_path`` every N processed packets (atomic tmp+rename
+        write); a run restored from any such snapshot via
+        :func:`repro.sim.checkpoint.resume_simulation` produces a
         byte-identical :class:`SimulationResult`.  With ``checkpoint_path``
         set, a pending interrupt (see
         :func:`repro.sim.checkpoint.request_interrupt`) flushes a final
@@ -296,6 +297,7 @@ class HyperSimulator:
             packets_done=state.processed,
             config=dict(self._config_dict()),
             state={"sim": self, "router": router, "loop": state},
+            trace=self.trace,
         )
         snapshot.save(policy.path)
         if self._tracer is not None:
@@ -551,9 +553,12 @@ def simulate(
     ``resume_from`` restores a run from a checkpoint file written by an
     earlier ``checkpoint_every``/``checkpoint_path`` run and continues it
     to completion; the restored run's result is byte-identical to an
-    uninterrupted one.  The checkpoint carries its own config and trace
-    state, so ``config``/``trace`` are only cross-checked (a mismatching
-    config raises :class:`~repro.sim.checkpoint.CheckpointError`).
+    uninterrupted one.  The checkpoint holds the engine state (faults,
+    observability and run options included) but not the trace: it is
+    rebound onto ``trace``, whose identity must match the one recorded,
+    or onto a trace rebuilt from that record when ``trace`` is ``None``
+    (or has host backings the snapshot does not know).  A mismatching
+    config or trace raises :class:`~repro.sim.checkpoint.CheckpointError`.
     """
     if engine != "analytic":
         if engine == "evented":
@@ -586,6 +591,7 @@ def simulate(
             resume_from,
             expect_engine="analytic",
             expect_config=config,
+            trace=trace,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
             checkpoint_hook=checkpoint_hook,

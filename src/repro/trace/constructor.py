@@ -12,17 +12,31 @@ schemes —
 
 Construction stops as soon as *any* tenant runs out of packets, avoiding
 the "edge effect" where only a subset of tenants remains active.
+
+Every trace records its *origin* — the parameters it was built from, or
+the trace file its packets came from — so :func:`rebuild_trace` can build
+it again.  Checkpoints store the origin plus a sha256 of the packets
+instead of the trace itself (see :mod:`repro.sim.checkpoint`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from array import array
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.trace.records import PacketRecord, TraceStats, compute_trace_stats
+from repro.trace.records import (
+    PacketRecord,
+    TraceStats,
+    compute_trace_stats,
+    load_trace,
+)
 from repro.trace.tenant import BenchmarkProfile, TenantSpec, make_tenant_specs
 from repro.trace.workload import HyperTenantSystem, TenantWorkload, build_system
 
@@ -60,16 +74,47 @@ class Interleaving:
 
 @dataclass
 class HyperTrace:
-    """A constructed hyper-tenant trace plus the system behind it."""
+    """A constructed hyper-tenant trace plus the system behind it.
+
+    ``packets`` must not change once the trace is built: the packet hash
+    in :meth:`identity` is computed once and cached.
+    """
 
     packets: List[PacketRecord]
     system: HyperTenantSystem
     interleaving: Interleaving
     stats: TraceStats
+    #: How the trace was built, as :func:`rebuild_trace` takes it;
+    #: ``None`` for hand-assembled traces, which cannot be rebuilt.
+    origin: Optional[Dict[str, Any]] = None
+    _packets_sha256: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_tenants(self) -> int:
         return self.stats.num_tenants
+
+    def identity(self) -> Dict[str, Any]:
+        """The origin plus a sha256 of the packets (hashed on first call)."""
+        if self._packets_sha256 is None:
+            self._packets_sha256 = packets_sha256(self.packets)
+        return {**(self.origin or {}), "packets_sha256": self._packets_sha256}
+
+
+def packets_sha256(packets: Sequence[PacketRecord]) -> str:
+    """sha256 over every field of every packet, in trace order."""
+    digest = hashlib.sha256()
+    for start in range(0, len(packets), 4096):
+        words = array("q")
+        for packet in packets[start:start + 4096]:
+            words.append(packet.sid)
+            words.extend(packet.giovas)
+            words.append(packet.size_bytes)
+            words.append(len(packet.invalidations))
+            words.extend(packet.invalidations)
+        digest.update(words.tobytes())
+    return digest.hexdigest()
 
 
 def interleave(
@@ -134,11 +179,19 @@ class TraceConstructor:
             packets = list(itertools.islice(merged, max_packets))
         else:
             packets = list(merged)
+        system.start_backing_log()
         return HyperTrace(
             packets=packets,
             system=system,
             interleaving=scheme,
             stats=compute_trace_stats(packets),
+            origin={
+                "builder": "specs",
+                "specs": tuple(specs),
+                "interleaving": str(scheme),
+                "seed": self.seed,
+                "max_packets": max_packets,
+            },
         )
 
 
@@ -160,6 +213,71 @@ def construct_trace(
     4
     """
     specs = make_tenant_specs(profile, num_tenants, packets_per_tenant, seed=seed)
-    return TraceConstructor(seed=seed).construct(
+    trace = TraceConstructor(seed=seed).construct(
         specs, interleaving, max_packets=max_packets
     )
+    trace.origin = {
+        "builder": "construct_trace",
+        "profile": profile,
+        "num_tenants": num_tenants,
+        "packets_per_tenant": packets_per_tenant,
+        "interleaving": str(trace.interleaving),
+        "seed": seed,
+        "max_packets": max_packets,
+    }
+    return trace
+
+
+def with_trace_file(
+    trace: HyperTrace, path, max_packets: Optional[int] = None
+) -> HyperTrace:
+    """``trace`` with its packets replaced by a JSON-lines trace file's.
+
+    The tenant system stays ``trace``'s; the origin records the file's
+    path and sha256 on top of ``trace``'s own origin.
+    """
+    path = Path(path)
+    file_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    packets = load_trace(path)
+    if max_packets is not None:
+        packets = packets[:max_packets]
+    return dataclasses.replace(
+        trace,
+        packets=packets,
+        stats=compute_trace_stats(packets),
+        origin={
+            "builder": "trace_file",
+            "base": trace.origin,
+            "path": str(path.resolve()),
+            "file_sha256": file_sha256,
+            "max_packets": max_packets,
+        },
+    )
+
+
+def rebuild_trace(origin: Optional[Dict[str, Any]]) -> HyperTrace:
+    """Build a trace again from its :attr:`HyperTrace.origin`.
+
+    Raises :class:`ValueError` for traces without a recorded origin.
+    """
+    builder = origin.get("builder") if origin else None
+    if builder == "construct_trace":
+        return construct_trace(
+            origin["profile"],
+            num_tenants=origin["num_tenants"],
+            packets_per_tenant=origin["packets_per_tenant"],
+            interleaving=origin["interleaving"],
+            seed=origin["seed"],
+            max_packets=origin["max_packets"],
+        )
+    if builder == "specs":
+        return TraceConstructor(seed=origin["seed"]).construct(
+            origin["specs"], origin["interleaving"],
+            max_packets=origin["max_packets"],
+        )
+    if builder == "trace_file":
+        return with_trace_file(
+            rebuild_trace(origin["base"]), origin["path"],
+            max_packets=origin["max_packets"],
+        )
+    raise ValueError("the trace has no recorded origin to rebuild it from")

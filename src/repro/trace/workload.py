@@ -110,6 +110,24 @@ class HyperTenantSystem:
         """Walker callback for the IOMMU."""
         return self.workloads[sid].walker
 
+    def start_backing_log(self) -> None:
+        """Log every host-frame backing made from now on, in order.
+
+        The trace constructor calls this once the trace is built: from
+        then on the only host allocations are first-touch backings
+        during simulation, and their order decides every later hPA.
+        """
+        self.host_allocator.backing_log = []
+
+    def replay_backings(self, entries) -> None:
+        """Re-make logged backings, in order, on this (fresh) system."""
+        spaces = {
+            workload.space.name: workload.space
+            for workload in self.workloads.values()
+        }
+        for name, gpa in entries:
+            spaces[name].ensure_backed(gpa)
+
     def remove_tenant(self, sid: int) -> None:
         del self.workloads[sid]
 
