@@ -1,4 +1,4 @@
-"""Translation-cache structures: policies, set-associative and partitioned.
+"""Translation-cache structures: set-associative and partitioned.
 
 Public surface:
 
@@ -6,20 +6,10 @@ Public surface:
 * :class:`~repro.cache.setassoc.SetAssociativeCache` and
   :class:`~repro.cache.setassoc.FullyAssociativeCache`
 * :class:`~repro.cache.partitioned.PartitionedCache`
-* replacement policies in :mod:`repro.cache.policies`
 """
 
 from repro.cache.base import CacheStats, TranslationCache
 from repro.cache.partitioned import PartitionedCache, partition_of
-from repro.cache.policies import (
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-    OraclePolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy_factory,
-)
 from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
 
 __all__ = [
@@ -29,11 +19,4 @@ __all__ = [
     "FullyAssociativeCache",
     "PartitionedCache",
     "partition_of",
-    "ReplacementPolicy",
-    "LruPolicy",
-    "LfuPolicy",
-    "FifoPolicy",
-    "RandomPolicy",
-    "OraclePolicy",
-    "make_policy_factory",
 ]

@@ -9,18 +9,38 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 
-@dataclass
+@dataclass(init=False)
 class CacheStats:
-    """Hit/miss/eviction counters for one cache instance."""
+    """Hit/miss/eviction counters for one cache instance.
 
-    hits: int = 0
-    misses: int = 0
-    fills: int = 0
-    evictions: int = 0
-    invalidations: int = 0
+    Slotted (fields carry no class-level defaults, so ``__init__`` is
+    written out): it is pickled with the caches in every checkpoint.
+    """
+
+    __slots__ = ("hits", "misses", "fills", "evictions", "invalidations")
+
+    hits: int
+    misses: int
+    fills: int
+    evictions: int
+    invalidations: int
+
+    def __init__(
+        self,
+        hits: int = 0,
+        misses: int = 0,
+        fills: int = 0,
+        evictions: int = 0,
+        invalidations: int = 0,
+    ):
+        self.hits = hits
+        self.misses = misses
+        self.fills = fills
+        self.evictions = evictions
+        self.invalidations = invalidations
 
     @property
     def accesses(self) -> int:
@@ -63,7 +83,12 @@ class TranslationCache(ABC):
     ``(sid, giova_page)`` for a DevTLB).  ``lookup`` returns the stored value
     or ``None``, updating statistics and recency state; ``probe`` inspects
     without side effects.
+
+    Caches declare ``__slots__``: simulation checkpoints pickle them, and
+    a slotted object stays as fast to access after pickling as before.
     """
+
+    __slots__ = ("name", "stats", "eviction_listener")
 
     def __init__(self, name: str = "cache"):
         self.name = name
@@ -84,8 +109,8 @@ class TranslationCache(ABC):
         """Insert or update ``key``; may evict another entry.
 
         ``priority`` > 0 marks a prefetch fill whose entry should enter
-        with elevated replacement priority (see
-        :meth:`repro.cache.policies.ReplacementPolicy.promote`).
+        with elevated replacement priority: it must survive the window
+        between install and predicted use.
         """
 
     @abstractmethod
@@ -103,6 +128,10 @@ class TranslationCache(ABC):
     @abstractmethod
     def __len__(self) -> int:
         """Number of valid entries currently stored."""
+
+    @abstractmethod
+    def keys(self) -> Iterator[Hashable]:
+        """Iterate over every cached key."""
 
     def contains(self, key: Hashable) -> bool:
         """Return whether ``key`` is cached (no stats side effects)."""

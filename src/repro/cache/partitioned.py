@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Optional
 
-from repro.cache.setassoc import SetAssociativeCache, fold_index
+from repro.cache.setassoc import SetAssociativeCache
 
 
 def partition_of(sid: int, num_partitions: int) -> int:
@@ -34,11 +34,16 @@ class PartitionedCache(SetAssociativeCache):
     Keys must be ``(sid, secondary)`` tuples; ``secondary`` is usually the
     gIOVA page (DevTLB) or a guest-physical page (nested TLBs).
 
+    The set index is the partition's base set plus the XOR-folded page
+    (the hash of a non-``int`` secondary) modulo the partition's set count.
+
     Parameters
     ----------
     num_partitions:
         Number of PTag groups; must divide the set count evenly.
     """
+
+    __slots__ = ("num_partitions", "_sets_per_partition")
 
     def __init__(
         self,
@@ -57,31 +62,29 @@ class PartitionedCache(SetAssociativeCache):
                 f"{num_partitions} partitions do not evenly divide "
                 f"{num_sets} sets"
             )
-        self.num_partitions = num_partitions
-        self._sets_per_partition = num_sets // num_partitions
         super().__init__(
             num_entries=num_entries,
             ways=ways,
             policy=policy,
             name=name,
-            indexer=self._partitioned_index,
             next_use=next_use,
         )
+        self.num_partitions = num_partitions
+        self._sets_per_partition = num_sets // num_partitions
 
-    def _partitioned_index(self, key: Hashable, num_sets: int) -> int:
+    def _set_index(self, key: Hashable) -> int:
         if not (isinstance(key, tuple) and len(key) == 2):
             raise TypeError(
                 f"{self.name}: partitioned caches require (sid, page) keys, "
                 f"got {key!r}"
             )
         sid, secondary = key
-        partition = partition_of(sid, self.num_partitions)
-        base = partition * self._sets_per_partition
+        per_partition = self._sets_per_partition
         if isinstance(secondary, int):
-            folded = fold_index(secondary)
+            folded = secondary ^ (secondary >> 9) ^ (secondary >> 18)
         else:
             folded = hash(secondary)
-        return base + folded % self._sets_per_partition
+        return sid % self.num_partitions * per_partition + folded % per_partition
 
     def partition_of_key(self, key: Hashable) -> int:
         """Partition a ``(sid, secondary)`` key is confined to.

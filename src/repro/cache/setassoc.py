@@ -1,57 +1,36 @@
-"""Set-associative cache with pluggable replacement and indexing.
+"""Set-associative cache: one insertion-ordered dict per set.
 
 This is the workhorse structure behind the DevTLB, IOTLB and the L2/L3
-page-walk caches.  The set index is derived from the key by an ``indexer``
-callable so the same class supports both conventional address-indexed caches
-and the paper's SID-partitioned variants (see
-:mod:`repro.cache.partitioned`).
+page-walk caches.  The cache owns its replacement state directly, with no
+per-set policy objects:
+
+* every set is one ``key -> value`` dict whose insertion order is the
+  replacement order — LRU re-inserts a key on every hit, FIFO, random and
+  oracle never reorder;
+* LFU adds a parallel ``key -> counter`` dict per set: the paper's 4-bit
+  saturating counter per entry, and when any counter in a row saturates,
+  every counter in that row is halved.  The victim is the first (oldest)
+  key holding the row's lowest count;
+* random keeps one ``Random(0)`` per set; the Belady *oracle* evicts the
+  entry whose ``next_use`` lies furthest in the future (Section V-C).
+
+How a key picks its set is fixed at construction: by the folded address
+bits of the key (the default), by a caller-supplied ``indexer``, or — in
+:class:`~repro.cache.partitioned.PartitionedCache` — by the SID partition.
 """
 
 from __future__ import annotations
 
+from random import Random
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from repro.cache.base import TranslationCache
-from repro.cache.policies import ReplacementPolicy, make_policy_factory
 
+#: Replacement policies, by the names configs and the paper's figures use.
+POLICIES = ("lru", "fifo", "lfu", "random", "oracle")
 
-def fold_index(value: int) -> int:
-    """XOR-fold an address-derived integer before set selection.
-
-    Plain modulo indexing degenerates for 2 MB-aligned page numbers (their
-    low bits are all zero, mapping every huge page to set 0), so — like real
-    TLBs — we fold higher address bits into the index.  The fold is
-    deterministic and cheap.
-    """
-    value = int(value)
-    return value ^ (value >> 9) ^ (value >> 18)
-
-
-def default_indexer(key: Hashable, num_sets: int) -> int:
-    """Index by the folded address bits of the key.
-
-    For the common ``(sid, page)`` tuple keys this indexes by the *page*
-    part only, so that — as in real hardware — tenants using identical
-    gIOVA layouts compete for the same sets: the conflict behaviour the
-    paper studies.  The SID lives in the tag, not the index.
-
-    The fold is inlined (rather than calling :func:`fold_index`) because
-    this function sits on the simulator's hottest path.
-    """
-    if type(key) is tuple and len(key) == 2:
-        value = key[1]
-        if type(value) is int:
-            return (value ^ (value >> 9) ^ (value >> 18)) % num_sets
-    return hash(key) % num_sets
-
-
-def single_set_indexer(key: Hashable, num_sets: int) -> int:
-    """Indexer for fully associative caches: everything lives in set 0.
-
-    A module-level function (not a lambda) so cache instances stay
-    picklable — simulation checkpoints snapshot live cache objects.
-    """
-    return 0
+#: The LFU counter ceiling: 4 bits, as in the paper.
+LFU_COUNTER_MAX = (1 << 4) - 1
 
 
 class SetAssociativeCache(TranslationCache):
@@ -65,12 +44,31 @@ class SetAssociativeCache(TranslationCache):
         Associativity.  ``ways == num_entries`` makes it fully associative.
     policy:
         Replacement policy name (``lru``, ``lfu``, ``fifo``, ``random``,
-        ``oracle``); per-set instances are created from the factory.
+        ``oracle``), case-insensitive.
     indexer:
-        ``callable(key, num_sets) -> set_index``.
+        Optional ``callable(key, num_sets) -> set_index``; its result is
+        range-checked on every probe.  Without one, a ``(sid, page)`` key
+        with an ``int`` page indexes by the XOR-folded page (so tenants
+        with identical gIOVA layouts compete for the same sets — the SID
+        lives in the tag), and any other key by its hash.
     next_use:
         Future-knowledge callable, required when ``policy == "oracle"``.
     """
+
+    __slots__ = (
+        "num_entries",
+        "ways",
+        "num_sets",
+        "policy_name",
+        "pin_capacity",
+        "_indexer",
+        "_entries",
+        "_lru",
+        "_counts",
+        "_rngs",
+        "_next_use",
+        "_pins",
+    )
 
     def __init__(
         self,
@@ -78,7 +76,7 @@ class SetAssociativeCache(TranslationCache):
         ways: int,
         policy: str = "lru",
         name: str = "cache",
-        indexer: Callable[[Hashable, int], int] = default_indexer,
+        indexer: Optional[Callable[[Hashable, int], int]] = None,
         next_use: Optional[Callable[[Hashable], Optional[float]]] = None,
     ):
         super().__init__(name=name)
@@ -88,18 +86,32 @@ class SetAssociativeCache(TranslationCache):
             raise ValueError(
                 f"num_entries ({num_entries}) must be divisible by ways ({ways})"
             )
+        lowered = policy.lower()
+        if lowered not in POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
+            )
+        if lowered == "oracle" and next_use is None:
+            raise ValueError("oracle policy requires a next_use callable")
         self.num_entries = num_entries
         self.ways = ways
-        self.num_sets = num_entries // ways
-        self.policy_name = policy.lower()
+        num_sets = self.num_sets = num_entries // ways
+        self.policy_name = lowered
         self._indexer = indexer
-        factory = make_policy_factory(policy, next_use)
-        self._policies: List[ReplacementPolicy] = [factory() for _ in range(self.num_sets)]
-        self._sets: List[Dict[Hashable, Any]] = [{} for _ in range(self.num_sets)]
+        self._entries: List[Dict[Hashable, Any]] = [{} for _ in range(num_sets)]
+        self._lru = lowered == "lru"
+        self._counts: Optional[List[Dict[Hashable, int]]] = (
+            [{} for _ in range(num_sets)] if lowered == "lfu" else None
+        )
+        self._rngs: Optional[List[Random]] = (
+            [Random(0) for _ in range(num_sets)] if lowered == "random" else None
+        )
+        self._next_use = next_use if lowered == "oracle" else None
         # Pinned prefetch entries per set (insertion-ordered so the oldest
-        # pin is recycled first).  At least two ways per set stay unpinned
-        # so victim selection can never starve demand fills entirely.
-        self._pinned: List[Dict[Hashable, None]] = [{} for _ in range(self.num_sets)]
+        # pin is recycled first), allocated on the first pinned fill.  At
+        # least two ways per set stay unpinned so victim selection can
+        # never starve demand fills entirely.
+        self._pins: Optional[List[Dict[Hashable, None]]] = None
         if ways > 2:
             self.pin_capacity = ways - 2
         elif ways == 2:
@@ -108,8 +120,15 @@ class SetAssociativeCache(TranslationCache):
             self.pin_capacity = 0
 
     # ------------------------------------------------------------------
-    def _set_for(self, key: Hashable) -> int:
-        index = self._indexer(key, self.num_sets)
+    def _set_index(self, key: Hashable) -> int:
+        indexer = self._indexer
+        if indexer is None:
+            if type(key) is tuple and len(key) == 2:
+                page = key[1]
+                if type(page) is int:
+                    return (page ^ (page >> 9) ^ (page >> 18)) % self.num_sets
+            return hash(key) % self.num_sets
+        index = indexer(key, self.num_sets)
         if not 0 <= index < self.num_sets:
             raise ValueError(
                 f"indexer returned {index}, outside 0..{self.num_sets - 1}"
@@ -117,105 +136,205 @@ class SetAssociativeCache(TranslationCache):
         return index
 
     def lookup(self, key: Hashable) -> Optional[Any]:
-        index = self._set_for(key)
-        entry_set = self._sets[index]
-        if key in entry_set:
-            self.stats.hits += 1
-            self._policies[index].on_hit(key)
+        index = self._set_index(key)
+        entries = self._entries[index]
+        if key not in entries:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        if self._lru:
+            value = entries[key] = entries.pop(key)
+        else:
+            value = entries[key]
+            counts = self._counts
+            if counts is not None:
+                row = counts[index]
+                count = row[key] + 1
+                if count > LFU_COUNTER_MAX:
+                    _halve(row)
+                    count = row[key] + 1
+                row[key] = count
+        pins = self._pins
+        if pins is not None:
             # First use of a pinned prefetch entry releases the pin.
-            self._pinned[index].pop(key, None)
-            return entry_set[key]
-        self.stats.misses += 1
-        return None
+            pins[index].pop(key, None)
+        return value
 
     def insert(
         self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
     ) -> None:
         """Insert or update ``key``.
 
-        ``priority`` > 0 promotes the entry's replacement state that many
-        extra steps.  ``pinned`` marks a prefetch fill that must survive
-        until its predicted use: pinned entries are excluded from victim
-        selection until first hit, with at most ``ways // 2`` pins per set
-        (the oldest pin is released when the budget is exceeded).
+        ``priority`` > 0 counts that many extra uses on the entry's LFU
+        counter; the other policies ignore it (an LRU fill or update
+        already makes the entry most recent).  ``pinned`` marks a prefetch
+        fill that must survive until its predicted use: pinned entries are
+        excluded from victim selection until first hit, with at most
+        :attr:`pin_capacity` pins per set (the oldest pin is released when
+        the budget is exceeded).
         """
-        index = self._set_for(key)
-        entry_set = self._sets[index]
-        policy = self._policies[index]
-        pins = self._pinned[index]
-        if key in entry_set:
-            entry_set[key] = value
-            policy.on_hit(key)
-            if priority:
-                policy.promote(key, priority)
+        index = self._set_index(key)
+        entries = self._entries[index]
+        counts = self._counts
+        if key in entries:
+            if self._lru:
+                del entries[key]
+            entries[key] = value
+            if counts is not None:
+                _bump(counts[index], key, 1 + priority)
             if pinned:
-                self._pin(pins, key)
+                self._pin(index, key)
             return
-        if len(entry_set) >= self.ways:
-            victim = policy.victim(excluding=pins)
-            if victim is None:
-                # Every resident entry is pinned (cannot happen while the
-                # pin budget is ways // 2, but stay safe): recycle the
-                # oldest pin.
-                victim = next(iter(pins))
-                del pins[victim]
-            policy.on_evict(victim)
-            del entry_set[victim]
-            pins.pop(victim, None)
+        if len(entries) >= self.ways:
+            victim = self._victim(index, entries)
+            del entries[victim]
+            if counts is not None:
+                del counts[index][victim]
+            pins = self._pins
+            if pins is not None:
+                pins[index].pop(victim, None)
             self.stats.evictions += 1
             if self.eviction_listener is not None:
                 self.eviction_listener(key, victim)
-        entry_set[key] = value
-        policy.on_fill(key)
-        if priority:
-            policy.promote(key, priority)
+        entries[key] = value
+        if counts is not None:
+            row = counts[index]
+            if priority:
+                row[key] = 0
+                _bump(row, key, 1 + priority)
+            else:
+                row[key] = 1
         if pinned:
-            self._pin(pins, key)
+            self._pin(index, key)
         self.stats.fills += 1
 
-    def _pin(self, pins: Dict[Hashable, None], key: Hashable) -> None:
+    def _victim(self, index: int, entries: Dict[Hashable, Any]) -> Hashable:
+        """The key a fill into full set ``index`` evicts.
+
+        Pinned keys are skipped; when every resident key is pinned (cannot
+        happen while the pin budget leaves unpinned ways, but stay safe)
+        the oldest pin is released and its key evicted.
+        """
+        pins = self._pins
+        pinned = pins[index] if pins is not None else None
+        counts = self._counts
+        victim = None
+        if counts is not None:
+            # First (oldest) key holding the lowest counter.
+            lowest = None
+            for key, count in counts[index].items():
+                if (lowest is None or count < lowest) and not (
+                    pinned and key in pinned
+                ):
+                    victim, lowest = key, count
+        elif self._rngs is not None:
+            candidates = [key for key in entries if not (pinned and key in pinned)]
+            if candidates:
+                victim = self._rngs[index].choice(candidates)
+        elif self._next_use is not None:
+            next_use = self._next_use
+            furthest = -1.0
+            for key in entries:
+                if pinned and key in pinned:
+                    continue
+                distance = next_use(key)
+                if distance is None:
+                    return key  # never used again: perfect victim
+                if distance > furthest:
+                    victim, furthest = key, distance
+        elif pinned:
+            for key in entries:
+                if key not in pinned:
+                    return key
+        else:
+            return next(iter(entries))
+        if victim is None:
+            victim = next(iter(pinned))
+            del pinned[victim]
+        return victim
+
+    def _pin(self, index: int, key: Hashable) -> None:
         if self.pin_capacity == 0:
             return
+        if self._pins is None:
+            self._pins = [{} for _ in range(self.num_sets)]
+        pins = self._pins[index]
         pins.pop(key, None)
         while len(pins) >= self.pin_capacity:
             del pins[next(iter(pins))]
         pins[key] = None
 
     def probe(self, key: Hashable) -> Optional[Any]:
-        return self._sets[self._set_for(key)].get(key)
+        return self._entries[self._set_index(key)].get(key)
 
     def invalidate(self, key: Hashable) -> bool:
-        index = self._set_for(key)
-        entry_set = self._sets[index]
-        if key not in entry_set:
+        index = self._set_index(key)
+        entries = self._entries[index]
+        if key not in entries:
             return False
-        self._policies[index].on_evict(key)
-        del entry_set[key]
-        self._pinned[index].pop(key, None)
+        del entries[key]
+        if self._counts is not None:
+            del self._counts[index][key]
+        if self._pins is not None:
+            self._pins[index].pop(key, None)
         self.stats.invalidations += 1
         return True
 
     def invalidate_all(self) -> None:
-        for index, entry_set in enumerate(self._sets):
-            policy = self._policies[index]
-            for key in list(entry_set):
-                policy.on_evict(key)
-            entry_set.clear()
-            self._pinned[index].clear()
+        for rows in (self._entries, self._counts, self._pins):
+            if rows is not None:
+                for row in rows:
+                    row.clear()
         self.stats.invalidations += 1
 
     def __len__(self) -> int:
-        return sum(len(entry_set) for entry_set in self._sets)
+        return sum(len(entries) for entries in self._entries)
 
     # ------------------------------------------------------------------
     def set_occupancy(self, index: int) -> int:
         """Number of valid entries in set ``index`` (for tests/analysis)."""
-        return len(self._sets[index])
+        return len(self._entries[index])
+
+    def state(self) -> tuple:
+        """Every set's contents and replacement state, as one hashable tuple.
+
+        Per set: its ``(key, value)`` pairs in replacement order, its LFU
+        counters in the same order (empty for other policies), and its
+        pinned keys.  For LRU, FIFO and LFU, caches with equal states
+        behave identically from then on (random and oracle also depend
+        on their generator or future).
+        """
+        counts = self._counts
+        pins = self._pins
+        return tuple(
+            (
+                tuple(entries.items()),
+                tuple(counts[index].values()) if counts is not None else (),
+                tuple(pins[index]) if pins is not None else (),
+            )
+            for index, entries in enumerate(self._entries)
+        )
 
     def keys(self):
-        """Iterate over all cached keys (unspecified order)."""
-        for entry_set in self._sets:
-            yield from entry_set
+        """Iterate over all cached keys, set by set."""
+        for entries in self._entries:
+            yield from entries
+
+
+def _halve(row: Dict[Hashable, int]) -> None:
+    """LFU saturation: halve every counter in the row."""
+    for key, count in row.items():
+        row[key] = count >> 1
+
+
+def _bump(row: Dict[Hashable, int], key: Hashable, steps: int) -> None:
+    """Count ``steps`` uses of ``key``, halving the row on saturation."""
+    for _ in range(steps):
+        count = row[key] + 1
+        if count > LFU_COUNTER_MAX:
+            _halve(row)
+            count = row[key] + 1
+        row[key] = count
 
 
 class FullyAssociativeCache(SetAssociativeCache):
@@ -224,6 +343,8 @@ class FullyAssociativeCache(SetAssociativeCache):
     Used for the paper's fully-associative DevTLB study (Figure 11c) and for
     the 8-entry Prefetch Buffer.
     """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -237,6 +358,5 @@ class FullyAssociativeCache(SetAssociativeCache):
             ways=num_entries,
             policy=policy,
             name=name,
-            indexer=single_set_indexer,
             next_use=next_use,
         )

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.cache.base import TranslationCache
-from repro.cache.partitioned import PartitionedCache
-from repro.cache.setassoc import SetAssociativeCache
 from repro.iommu.context import ContextCache
 from repro.mem.address import page_number
 from repro.mem.dram import MainMemory
@@ -165,9 +163,13 @@ class Iommu:
         accesses = 0
         nested_hits = 0
         nested_misses = 0
+        nested_lookup = self.nested_tlb.lookup
+        nested_insert = self.nested_tlb.insert
+        pte_lookup = self.pte_cache.lookup
+        pte_insert = self.pte_cache.insert
         for phase in walk.phases:
             nested_key = (sid, phase.gpa_page)
-            if self.nested_tlb.lookup(nested_key) is not None:
+            if nested_lookup(nested_key) is not None:
                 nested_hits += 1
                 latency += timings.cache_hit_ns
             else:
@@ -176,23 +178,23 @@ class Iommu:
                 # first tries the PTE cache.
                 for step in phase.host_steps:
                     pte_key = (sid, step.entry_address)
-                    if self.pte_cache.lookup(pte_key) is not None:
+                    if pte_lookup(pte_key) is not None:
                         latency += timings.cache_hit_ns
                     else:
                         latency += memory.read("pte")
                         accesses += 1
-                        self.pte_cache.insert(pte_key, True)
-                self.nested_tlb.insert(nested_key, True)
+                        pte_insert(pte_key, True)
+                nested_insert(nested_key, True)
             if phase.guest_entry_hpa is not None:
                 # Reading the guest page-table entry itself (also cacheable:
                 # a tenant's upper guest entries repeat across packets).
                 guest_key = (sid, phase.guest_entry_hpa)
-                if self.pte_cache.lookup(guest_key) is not None:
+                if pte_lookup(guest_key) is not None:
                     latency += timings.cache_hit_ns
                 else:
                     latency += memory.read("pte")
                     accesses += 1
-                    self.pte_cache.insert(guest_key, True)
+                    pte_insert(guest_key, True)
         return latency, accesses, nested_hits, nested_misses
 
     # ------------------------------------------------------------------
@@ -203,15 +205,9 @@ class Iommu:
     def invalidate_tenant(self, sid: int) -> None:
         """Flush all cached state for ``sid`` (unmap/teardown path)."""
         for cache in (self.iotlb, self.nested_tlb, self.pte_cache):
-            stale = [key for key in _iter_keys(cache) if key[0] == sid]
+            stale = [key for key in cache.keys() if key[0] == sid]
             for key in stale:
                 cache.invalidate(key)
         for listener in self._invalidation_listeners:
             listener(sid)
 
-
-def _iter_keys(cache: TranslationCache):
-    """Best-effort key iteration for the cache types used here."""
-    if isinstance(cache, (SetAssociativeCache, PartitionedCache)):
-        return list(cache.keys())
-    raise TypeError(f"cannot iterate keys of {type(cache).__name__}")

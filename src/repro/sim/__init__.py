@@ -1,7 +1,6 @@
 """The HyperSIO performance model: analytic trace-driven timing."""
 
 from repro.sim.des import EventDrivenSimulator, EventKind, EventQueue, simulate_evented
-from repro.sim.link import IoLink
 from repro.sim.oracle import FutureOracle, devtlb_key_sequence, oracle_for_trace
 from repro.sim.resources import ResourcePool, UnboundedPool
 from repro.sim.simulator import SIMULATE_ENGINES, HyperSimulator, simulate
@@ -13,7 +12,6 @@ from repro.sim.vectorized import (
 )
 
 __all__ = [
-    "IoLink",
     "EventDrivenSimulator",
     "EventQueue",
     "EventKind",

@@ -67,7 +67,7 @@ from typing import Any, Callable, Dict, Optional, Union
 from repro.sim.oracle import FutureOracle, oracle_for_trace
 
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PathLike = Union[str, os.PathLike]
 

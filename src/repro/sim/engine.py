@@ -116,7 +116,12 @@ class DeviceEngine:
         self.clock = 0.0
         self.last_completion = 0.0
         self.packet_stats = PacketStats()
-        self.latency_stats = RequestLatencyStats()
+        #: With one device the engine sees exactly the run-wide request
+        #: stream, so it shares the simulator's latency stats and each
+        #: latency is recorded once.
+        self.latency_stats = (
+            sim.latency_stats if fabric.num_devices == 1 else RequestLatencyStats()
+        )
         self.invalidation_messages = 0
         #: Shared-IOTLB outcomes of this device's DevTLB misses, and the
         #: time its walks queued behind the shared walker pool — the
@@ -494,7 +499,8 @@ class DeviceEngine:
         if phases is not None:
             phases.end(PHASE_PTB, phase_started)
         sim.latency_stats.record(latency)
-        self.latency_stats.record(latency)
+        if self.latency_stats is not sim.latency_stats:
+            self.latency_stats.record(latency)
         if tracer is not None:
             tracer.emit(
                 ev.PTB_ENQUEUE,

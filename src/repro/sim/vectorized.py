@@ -70,7 +70,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.policies import FifoPolicy, LfuPolicy, LruPolicy
 from repro.core.config import ArchConfig
 from repro.core.results import SimulationResult
 from repro.obs.metrics import latency_bucket
@@ -86,7 +85,7 @@ MAX_PERIOD = 8
 #: Replacement policies whose state the block snapshot canonicalises.
 #: Anything else (oracle, random) disables cycle detection — the batch
 #: pass still runs, it just never leaps.
-_SNAPSHOT_POLICIES = (LruPolicy, FifoPolicy, LfuPolicy)
+_SNAPSHOT_POLICIES = ("lru", "fifo", "lfu")
 
 
 class VectorizedUnsupportedError(RuntimeError):
@@ -400,12 +399,10 @@ class VectorizedSimulator(HyperSimulator):
         )
 
     def _snapshot_supported(self) -> bool:
-        for cache in self._snapshot_caches():
-            for policy in cache._policies:
-                if not isinstance(policy, _SNAPSHOT_POLICIES):
-                    return False
-                break  # one factory per cache; checking set 0 suffices
-        return True
+        return all(
+            cache.policy_name in _SNAPSHOT_POLICIES
+            for cache in self._snapshot_caches()
+        )
 
     def _state_snapshot(self):
         """Canonical tuple of every cache's content and policy state.
@@ -418,16 +415,7 @@ class VectorizedSimulator(HyperSimulator):
         """
         parts = [self.trace.system.host_allocator.frames_allocated]
         for cache in self._snapshot_caches():
-            for entry_set, policy, pinned in zip(
-                cache._sets, cache._policies, cache._pinned
-            ):
-                if type(policy) is LfuPolicy:
-                    policy_state = tuple(policy._counts.items())
-                else:
-                    policy_state = tuple(policy._order)
-                parts.append(
-                    (tuple(entry_set.items()), policy_state, tuple(pinned))
-                )
+            parts.extend(cache.state())
         return tuple(parts)
 
     def _counter_tuple(self):

@@ -181,40 +181,74 @@ def write_v1_snapshot(path):
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def write_v2_snapshot(path):
+    """A snapshot under a version-2 header.  Version 2 differs from 3
+    only in how the caches pickle, and the header version alone decides
+    refusal, so today's state under that header stands in for it."""
+    config = hypertrio_config()
+    from repro.core.config_io import config_to_dict
+
+    sim = HyperSimulator(config, make_trace(tenants=4, packets=200))
+    ckpt.SimulationCheckpoint(
+        engine="analytic",
+        packets_done=0,
+        config=config_to_dict(config),
+        state={"sim": sim, "router": None, "loop": None},
+        trace=sim.trace,
+        version=2,
+    ).save(path)
+
+
 class TestOldSnapshots:
     def test_v1_snapshot_names_both_versions(self, tmp_path):
         path = tmp_path / "old.ckpt"
         write_v1_snapshot(path)
         with pytest.raises(ckpt.CheckpointError,
-                           match="format version 1; this build reads version 2"):
+                           match="format version 1; this build reads version 3"):
+            ckpt.SimulationCheckpoint.load(path)
+
+    def test_v2_snapshot_names_both_versions(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        write_v2_snapshot(path)
+        with pytest.raises(ckpt.CheckpointError,
+                           match="format version 2; this build reads version 3"):
             ckpt.SimulationCheckpoint.load(path)
 
     def test_runner_worker_drops_v1_snapshot_and_reruns(self, tmp_path):
-        from repro.analysis.scale import RunScale
-        from repro.runner.spec import JobSpec
-        from repro.runner.supervise import checkpoint_path_for
-        from repro.runner.worker import execute_job, execute_job_supervised
+        assert_worker_drops_and_reruns(tmp_path, write_v1_snapshot)
 
-        scale = RunScale(
-            name="test", tenant_counts=(4,), interleavings=("RR1",),
-            benchmarks=("mediastream",), max_packets=600,
-            packets_per_tenant=50_000, warmup_fraction=0.2,
-        )
-        spec = JobSpec.from_point(hypertrio_config(), "mediastream", 4, "RR1", scale)
-        clean = execute_job(spec)
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        stale = checkpoint_path_for(run_dir, spec.spec_hash)
-        stale.parent.mkdir(parents=True, exist_ok=True)
-        write_v1_snapshot(stale)
-        payload = execute_job_supervised(
-            spec, {"run_dir": str(run_dir), "checkpoint_every": 200,
-                   "heartbeat_interval_s": 0.05},
-        )
-        assert payload["exit_cause"] == "completed"
-        assert (json.dumps(payload["result"], sort_keys=True)
-                == json.dumps(clean["result"], sort_keys=True))
-        assert not stale.exists()
+    def test_runner_worker_drops_v2_snapshot_and_reruns(self, tmp_path):
+        assert_worker_drops_and_reruns(tmp_path, write_v2_snapshot)
+
+
+def assert_worker_drops_and_reruns(tmp_path, write_old):
+    """The supervised worker discards a stale-format snapshot and reruns
+    the point from scratch to the clean result."""
+    from repro.analysis.scale import RunScale
+    from repro.runner.spec import JobSpec
+    from repro.runner.supervise import checkpoint_path_for
+    from repro.runner.worker import execute_job, execute_job_supervised
+
+    scale = RunScale(
+        name="test", tenant_counts=(4,), interleavings=("RR1",),
+        benchmarks=("mediastream",), max_packets=600,
+        packets_per_tenant=50_000, warmup_fraction=0.2,
+    )
+    spec = JobSpec.from_point(hypertrio_config(), "mediastream", 4, "RR1", scale)
+    clean = execute_job(spec)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    stale = checkpoint_path_for(run_dir, spec.spec_hash)
+    stale.parent.mkdir(parents=True, exist_ok=True)
+    write_old(stale)
+    payload = execute_job_supervised(
+        spec, {"run_dir": str(run_dir), "checkpoint_every": 200,
+               "heartbeat_interval_s": 0.05},
+    )
+    assert payload["exit_cause"] == "completed"
+    assert (json.dumps(payload["result"], sort_keys=True)
+            == json.dumps(clean["result"], sort_keys=True))
+    assert not stale.exists()
 
 
 SMALL = ["--benchmark", "mediastream", "--tenants", "4", "--packets", "800"]

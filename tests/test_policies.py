@@ -1,194 +1,231 @@
-"""Unit tests for replacement policies."""
+"""Replacement policies, observed through the cache API.
+
+Each test fills a one-set (fully-associative) cache and watches which key
+the next fill evicts, via the cache's eviction listener.  Exclusion is
+exercised with pinned fills, which victim selection skips.  The per-set
+policy objects these behaviours used to live in survive as the reference
+model in ``tests/cache_reference.py`` (see ``tests/test_cache_reference.py``).
+"""
+
+import random
 
 import pytest
 
-from repro.cache.policies import (
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-    OraclePolicy,
-    RandomPolicy,
-    make_policy_factory,
-)
+from repro.cache import FullyAssociativeCache, SetAssociativeCache
+from tests.cache_reference import LfuPolicy, LruPolicy
+
+
+def one_set(policy, entries, keys=(), next_use=None):
+    """A fully-associative cache filled with ``keys``; its ``victims`` list
+    records every key evicted from then on."""
+    cache = FullyAssociativeCache(entries, policy=policy, next_use=next_use)
+    victims = []
+    cache.eviction_listener = lambda key, victim: victims.append(victim)
+    for key in keys:
+        cache.insert(key, key.upper())
+    return cache, victims
+
+
+def counters(cache):
+    """The one set's LFU counters by key."""
+    ((items, counts, _),) = cache.state()
+    return {key: count for (key, _), count in zip(items, counts)}
 
 
 class TestLru:
     def test_victim_is_least_recent(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_fill(key)
-        assert policy.victim() == "a"
+        cache, victims = one_set("lru", 3, "abc")
+        cache.insert("d", "D")
+        assert victims == ["a"]
 
     def test_hit_refreshes_recency(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_fill(key)
-        policy.on_hit("a")
-        assert policy.victim() == "b"
+        cache, victims = one_set("lru", 3, "abc")
+        cache.lookup("a")
+        cache.insert("d", "D")
+        assert victims == ["b"]
 
     def test_evict_removes_key(self):
-        policy = LruPolicy()
-        policy.on_fill("a")
-        policy.on_fill("b")
-        policy.on_evict("a")
-        assert list(policy.keys()) == ["b"]
+        cache, _ = one_set("lru", 3, "ab")
+        cache.invalidate("a")
+        assert list(cache.keys()) == ["b"]
 
     def test_victim_respects_exclusion(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_fill(key)
-        assert policy.victim(excluding={"a"}) == "b"
+        cache, victims = one_set("lru", 4)
+        cache.insert("a", "A", pinned=True)
+        for key in "bcd":
+            cache.insert(key, key.upper())
+        cache.insert("e", "E")
+        assert victims == ["b"]
 
     def test_victim_none_when_all_excluded(self):
-        policy = LruPolicy()
-        policy.on_fill("a")
-        assert policy.victim(excluding={"a"}) is None
+        # The pin budget leaves unpinned ways, so a full set of pins cannot
+        # arise from fills; should it, the oldest pin is released and
+        # its key evicted.
+        cache, _ = one_set("lru", 2, "ab")
+        cache._pins = [{"a": None, "b": None}]
+        assert cache._victim(0, cache._entries[0]) == "a"
+        assert list(cache._pins[0]) == ["b"]
 
     def test_victim_on_empty_raises(self):
+        # The reference model refuses to pick from an empty set; the cache
+        # never asks, because a fill into a set with free ways evicts
+        # nothing.
         with pytest.raises(LookupError):
             LruPolicy().victim()
+        cache, victims = one_set("lru", 2, "a")
+        cache.insert("b", "B")
+        assert victims == [] and cache.stats.evictions == 0
 
     def test_promote_acts_as_touch(self):
-        policy = LruPolicy()
-        for key in "abc":
-            policy.on_fill(key)
-        policy.promote("a")
-        assert policy.victim() == "b"
+        cache, victims = one_set("lru", 3, "abc")
+        cache.insert("a", "A2", priority=1)
+        cache.insert("d", "D")
+        assert victims == ["b"]
+        assert cache.probe("a") == "A2"
 
 
 class TestFifo:
     def test_victim_is_oldest_insertion(self):
-        policy = FifoPolicy()
-        for key in "abc":
-            policy.on_fill(key)
-        policy.on_hit("a")  # hits do not matter for FIFO
-        assert policy.victim() == "a"
+        cache, victims = one_set("fifo", 3, "abc")
+        cache.lookup("a")  # hits do not matter for FIFO
+        cache.insert("d", "D")
+        assert victims == ["a"]
 
     def test_exclusion(self):
-        policy = FifoPolicy()
-        for key in "ab":
-            policy.on_fill(key)
-        assert policy.victim(excluding={"a"}) == "b"
+        cache, victims = one_set("fifo", 2)
+        cache.insert("a", "A", pinned=True)
+        cache.insert("b", "B")
+        cache.insert("c", "C")
+        assert victims == ["b"]
 
 
 class TestLfu:
     def test_victim_is_least_frequent(self):
-        policy = LfuPolicy()
-        policy.on_fill("hot")
-        policy.on_fill("cold")
+        cache, victims = one_set("lfu", 2, ["hot", "cold"])
         for _ in range(5):
-            policy.on_hit("hot")
-        assert policy.victim() == "cold"
+            cache.lookup("hot")
+        cache.insert("new", "NEW")
+        assert victims == ["cold"]
 
     def test_tie_broken_by_insertion_order(self):
-        policy = LfuPolicy()
-        policy.on_fill("first")
-        policy.on_fill("second")
-        assert policy.victim() == "first"
+        cache, victims = one_set("lfu", 2, ["first", "second"])
+        cache.insert("third", "THIRD")
+        assert victims == ["first"]
 
     def test_counter_saturation_halves_row(self):
         """The paper's scheme: a 4-bit counter saturates at 15 and the whole
         row is halved."""
-        policy = LfuPolicy(counter_bits=4)
-        policy.on_fill("hot")
-        policy.on_fill("warm")
+        cache, _ = one_set("lfu", 2, ["hot", "warm"])
         for _ in range(3):
-            policy.on_hit("warm")  # counter 4
+            cache.lookup("warm")  # counter 4
         for _ in range(14):
-            policy.on_hit("hot")  # counter reaches 15
-        policy.on_hit("hot")  # triggers halving: hot 7->8, warm 2
-        assert policy.counter("hot") == 8
-        assert policy.counter("warm") == 2
+            cache.lookup("hot")  # counter reaches 15
+        cache.lookup("hot")  # triggers halving: hot 7->8, warm 2
+        assert counters(cache) == {"hot": 8, "warm": 2}
 
     def test_promote_adds_steps(self):
-        policy = LfuPolicy()
-        policy.on_fill("a")  # counter 1
-        policy.promote("a", steps=2)
-        assert policy.counter("a") == 3
+        cache, _ = one_set("lfu", 2)
+        cache.insert("a", "A", priority=2)  # fill counts 1, priority 2 more
+        assert counters(cache) == {"a": 3}
 
     def test_relative_frequency_preserved_after_halving(self):
-        policy = LfuPolicy(counter_bits=2)  # saturates at 3
-        policy.on_fill("hot")
-        policy.on_fill("cold")
-        for _ in range(10):
-            policy.on_hit("hot")
-        assert policy.victim() == "cold"
+        cache, victims = one_set("lfu", 2, ["hot", "cold"])
+        for _ in range(40):  # saturates and halves the row twice
+            cache.lookup("hot")
+        cache.insert("new", "NEW")
+        assert victims == ["cold"]
 
     def test_invalid_counter_bits(self):
+        # The cache's counters are the paper's fixed 4 bits; the reference
+        # model's width is a parameter and must be positive.
         with pytest.raises(ValueError):
             LfuPolicy(counter_bits=0)
 
     def test_exclusion_picks_next_least_frequent(self):
-        policy = LfuPolicy()
-        policy.on_fill("a")
-        policy.on_fill("b")
-        policy.on_hit("b")
-        assert policy.victim(excluding={"a"}) == "b"
+        cache, victims = one_set("lfu", 3)
+        cache.insert("a", "A", pinned=True)
+        cache.insert("b", "B")
+        cache.insert("c", "C")
+        cache.lookup("b")
+        cache.lookup("c")
+        cache.insert("d", "D")
+        assert victims == ["b"]
 
 
 class TestRandom:
     def test_deterministic_with_seed(self):
-        a = RandomPolicy(seed=7)
-        b = RandomPolicy(seed=7)
-        for key in "abcdef":
-            a.on_fill(key)
-            b.on_fill(key)
-        assert [a.victim() for _ in range(5)] == [b.victim() for _ in range(5)]
+        runs = []
+        for _ in range(2):
+            cache, victims = one_set("random", 3, "abc")
+            for key in "defghi":
+                cache.insert(key, key.upper())
+            runs.append(victims)
+        assert runs[0] == runs[1]
+        # Each set draws from its own Random(0).
+        assert runs[0][0] == random.Random(0).choice(list("abc"))
 
     def test_victim_among_tracked_keys(self):
-        policy = RandomPolicy()
-        for key in "abc":
-            policy.on_fill(key)
-        assert policy.victim() in set("abc")
+        cache, victims = one_set("random", 3, "abc")
+        cache.insert("d", "D")
+        assert victims[0] in set("abc")
+        assert set(cache.keys()) == set("abcd") - set(victims)
 
     def test_exclusion(self):
-        policy = RandomPolicy()
-        policy.on_fill("a")
-        policy.on_fill("b")
-        assert policy.victim(excluding={"a"}) == "b"
-        assert policy.victim(excluding={"a", "b"}) is None
+        cache, victims = one_set("random", 2)
+        cache.insert("a", "A", pinned=True)
+        cache.insert("b", "B")
+        cache.insert("c", "C")
+        assert victims == ["b"]
 
 
 class TestOracle:
     def test_evicts_furthest_future_use(self):
-        future = {"a": 10, "b": 3, "c": 7}
-        policy = OraclePolicy(lambda key: future[key])
-        for key in "abc":
-            policy.on_fill(key)
-        assert policy.victim() == "a"
+        future = {"a": 10, "b": 3, "c": 7, "d": 1}
+        cache, victims = one_set("oracle", 3, "abc", next_use=future.get)
+        cache.insert("d", "D")
+        assert victims == ["a"]
 
     def test_never_used_again_is_perfect_victim(self):
-        future = {"a": 10, "b": None}
-        policy = OraclePolicy(lambda key: future[key])
-        policy.on_fill("a")
-        policy.on_fill("b")
-        assert policy.victim() == "b"
+        future = {"a": 10, "b": None, "c": 1}
+        cache, victims = one_set("oracle", 2, "ab", next_use=future.get)
+        cache.insert("c", "C")
+        assert victims == ["b"]
 
     def test_exclusion(self):
-        future = {"a": 10, "b": 3}
-        policy = OraclePolicy(lambda key: future[key])
-        policy.on_fill("a")
-        policy.on_fill("b")
-        assert policy.victim(excluding={"a"}) == "b"
+        future = {"a": 10, "b": 3, "c": 1}
+        cache, victims = one_set("oracle", 2, next_use=future.get)
+        cache.insert("a", "A", pinned=True)
+        cache.insert("b", "B")
+        cache.insert("c", "C")
+        assert victims == ["b"]
 
 
 class TestFactory:
     @pytest.mark.parametrize("name", ["lru", "lfu", "fifo", "random"])
     def test_known_policies(self, name):
-        factory = make_policy_factory(name)
-        assert factory() is not factory()  # fresh instance per set
+        # Every set keeps its own replacement state.
+        cache = SetAssociativeCache(8, 2, policy=name, indexer=lambda key, n: key % n)
+        for key in (0, 4, 8, 1):
+            cache.insert(key, key)
+        assert cache.policy_name == name
+        assert [cache.set_occupancy(i) for i in range(4)] == [2, 1, 0, 0]
+        assert cache.stats.evictions == 1
 
     def test_case_insensitive(self):
-        assert isinstance(make_policy_factory("LFU")(), LfuPolicy)
+        cache, victims = one_set("LFU", 2, ["hot", "cold"])
+        cache.lookup("hot")
+        cache.insert("new", "NEW")
+        assert cache.policy_name == "lfu"
+        assert victims == ["cold"]
 
     def test_oracle_requires_next_use(self):
         with pytest.raises(ValueError):
-            make_policy_factory("oracle")
+            FullyAssociativeCache(4, policy="oracle")
 
     def test_oracle_with_next_use(self):
-        factory = make_policy_factory("oracle", next_use=lambda key: None)
-        assert isinstance(factory(), OraclePolicy)
+        cache = FullyAssociativeCache(4, policy="oracle", next_use=lambda key: None)
+        assert cache.policy_name == "oracle"
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            make_policy_factory("mru")
+            SetAssociativeCache(4, 4, policy="mru")

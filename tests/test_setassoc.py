@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.cache.setassoc import (
-    FullyAssociativeCache,
-    SetAssociativeCache,
-    default_indexer,
-    fold_index,
-)
+from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
 
 
 @pytest.fixture
@@ -169,14 +164,18 @@ class TestPinning:
 class TestIndexing:
     def test_fold_index_spreads_2m_aligned_pages(self):
         """2 MB-aligned page numbers must not all land in set 0."""
-        pages = [0xBBE00 + i * 0x200 for i in range(16)]
-        sets = {fold_index(page) % 8 for page in pages}
-        assert len(sets) > 1
+        cache = SetAssociativeCache(num_entries=32, ways=4)
+        for index in range(16):
+            cache.insert((0, 0xBBE00 + index * 0x200), index)
+        occupied = [i for i in range(cache.num_sets) if cache.set_occupancy(i)]
+        assert len(occupied) > 1
 
     def test_default_indexer_uses_page_part_of_tuple(self):
-        a = default_indexer((0, 0xBBE00), 8)
-        b = default_indexer((1, 0xBBE00), 8)
-        assert a == b  # same page, different SID -> same set (conflict!)
+        cache = SetAssociativeCache(num_entries=32, ways=4)
+        cache.insert((0, 0xBBE00), "t0")
+        cache.insert((1, 0xBBE00), "t1")
+        # Same page, different SID -> same set (conflict!).
+        assert sorted(cache.set_occupancy(i) for i in range(8)) == [0] * 7 + [2]
 
     def test_indexer_out_of_range_rejected(self):
         cache = SetAssociativeCache(

@@ -1,48 +1,10 @@
-"""Unit tests for simulator components: link, resources, oracle."""
+"""Unit tests for simulator components: resources, oracle."""
 
 import pytest
 
-from repro.sim.link import IoLink
 from repro.sim.oracle import FutureOracle, devtlb_key_sequence, oracle_for_trace
 from repro.sim.resources import ResourcePool, UnboundedPool
 from repro.trace.records import PacketRecord
-
-
-class TestIoLink:
-    def test_interarrival_at_200g(self):
-        link = IoLink(bandwidth_gbps=200.0, packet_bytes=1542)
-        assert link.interarrival_ns == pytest.approx(61.68)
-
-    def test_interarrival_at_10g(self):
-        link = IoLink(bandwidth_gbps=10.0, packet_bytes=1542)
-        assert link.interarrival_ns == pytest.approx(1233.6)
-
-    def test_slot_at_or_after(self):
-        link = IoLink(bandwidth_gbps=200.0)
-        slot = link.slot_at_or_after(0.0, 100.0)
-        assert slot >= 100.0
-        assert slot % link.interarrival_ns == pytest.approx(0.0, abs=1e-9)
-
-    def test_slot_before_origin(self):
-        link = IoLink(bandwidth_gbps=200.0)
-        assert link.slot_at_or_after(50.0, 10.0) == 50.0
-
-    def test_packets_in_duration(self):
-        link = IoLink(bandwidth_gbps=200.0)
-        assert link.packets_in(616.8) == 10
-
-    def test_bandwidth_for_packets(self):
-        link = IoLink(bandwidth_gbps=200.0)
-        gbps = link.bandwidth_for_packets(10, 10 * link.interarrival_ns)
-        assert gbps == pytest.approx(200.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IoLink(bandwidth_gbps=0)
-        with pytest.raises(ValueError):
-            IoLink(bandwidth_gbps=1, packet_bytes=0)
-        with pytest.raises(ValueError):
-            IoLink(bandwidth_gbps=1).packets_in(-1)
 
 
 class TestResourcePool:

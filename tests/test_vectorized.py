@@ -163,6 +163,21 @@ class TestTargetedRegimes:
     def test_warmup_accounting_identical(self):
         _assert_parity(_config(), packets=1200, warmup=300)
 
+    def test_engine_latency_stats_are_the_run_wide_stats(self):
+        # At devices=1 the device engine's latency mirror must not go
+        # stale, whichever engine ran: after the batch pass it holds
+        # exactly what the run-wide stats (and the result) report.
+        config = _config(policy="lfu", ptb=4)
+        for simulator in (
+            HyperSimulator(config, _trace()),
+            VectorizedSimulator(config, _trace()),
+        ):
+            result = simulator.run()
+            engine = simulator.engines[0]
+            assert engine.latency_stats == simulator.latency_stats
+            assert engine.latency_stats.count == result.latency.count > 0
+        assert simulator.batch_stats["mode"] == "batch"
+
     def test_prefetch_config_falls_back_with_reason(self):
         # HyperTRIO's prefetcher couples cache state to packet timing, so
         # the batch two-stage split is unsound there; the engine must
