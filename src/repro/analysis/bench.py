@@ -108,10 +108,6 @@ def _pinned_trace(packets: int) -> HyperTrace:
 
 def _simulator_for(engine: str, config: ArchConfig, trace: HyperTrace):
     """Instantiate the requested engine's simulator (shared constructor)."""
-    if engine == "evented":
-        from repro.sim.des import EventDrivenSimulator
-
-        return EventDrivenSimulator(config, trace)
     if engine == "vectorized":
         from repro.sim.vectorized import VectorizedSimulator
 

@@ -222,7 +222,7 @@ def run_point(
     orchestration hooks.
 
     ``engine`` selects the simulator implementation (``analytic`` /
-    ``evented`` / ``vectorized``); all engines produce byte-identical
+    ``vectorized``); both produce byte-identical
     results where supported, so the choice only affects wall clock —
     but it is still part of the point's identity for orchestration
     hooks and job specs, keeping provenance exact.

@@ -117,7 +117,7 @@ def _add_common_workload_args(
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", default="analytic", choices=SIMULATE_ENGINES,
-        help="simulator implementation (default: analytic); all engines "
+        help="simulator implementation (default: analytic); both engines "
              "produce byte-identical results where supported — "
              "'vectorized' batches the hot path through numpy and "
              "refuses fault injection and checkpointing",
@@ -137,10 +137,6 @@ def _engine_unsupported(engine: str, feature: str) -> int:
 def _simulator_class(engine: str):
     """Resolve ``--engine`` to the simulator class sharing
     :class:`HyperSimulator`'s constructor."""
-    if engine == "evented":
-        from repro.sim.des import EventDrivenSimulator
-
-        return EventDrivenSimulator
     if engine == "vectorized":
         from repro.sim.vectorized import VectorizedSimulator
 

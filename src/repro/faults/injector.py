@@ -8,10 +8,9 @@ observability layer.
 
 Determinism: the injector owns the run's only fault RNG
 (``random.Random(plan.seed)``), and every query site sits inside the
-per-device engine dispatch path.  Both the analytic simulator and the
-event-driven twin dispatch in identical global ``(time, device_id)``
-order, so the RNG is consumed in the same sequence by both — seeded
-plans replay bit-identically on either engine.  Scheduled faults
+per-device engine dispatch path.  The analytic merge loop dispatches in
+global ``(time, device_id)`` order — the order an event queue would pop
+— so seeded plans replay bit-identically, checkpoint resumes included.  Scheduled faults
 (storms, resets, leaks) use cursor state, never the RNG, and
 probability-0 stochastic specs are filtered out up front so an inert
 plan consumes no randomness at all.

@@ -53,8 +53,7 @@ class JobSpec:
     #: twin; omitted from serialisation when ``None`` so every pre-fault
     #: hash is unchanged.
     fault_plan: Optional[Dict[str, Any]] = None
-    #: Simulator implementation (``analytic`` / ``evented`` /
-    #: ``vectorized``).  Part of the content hash when not the default,
+    #: Simulator implementation (``analytic`` / ``vectorized``).  Part of the content hash when not the default,
     #: so a point's provenance records how it was produced; omitted from
     #: serialisation at the ``analytic`` default so every pre-engine
     #: hash is unchanged.

@@ -4,17 +4,15 @@ The offline simulator consumes a whole trace through its merge loop; the
 service receives packets one at a time over the wire.
 :class:`ServiceEngine` bridges the two **without forking any model
 state**: it owns a real :class:`~repro.sim.simulator.HyperSimulator`
-(fabric, caches, PTBs, shared chipset — everything PRs 1-5 built) and
-replays the merge loop's per-packet step sequence for each submitted
-packet:
-
-1. place the packet on its device's cursor and compute the wire arrival
-   (``clock + wire_time``), exactly as ``fetch_next`` would;
-2. ``begin_packet()`` once — never on admission retries;
-3. loop ``try_admit(arrival)``; each rejection advances ``next_time`` to
-   the next free arrival slot (the paper's drop-and-retry), and the next
-   attempt uses that time;
-4. ``complete_packet(arrival)`` on admission.
+(fabric, caches, PTBs, shared chipset) and drives its device engines
+through the same two calls as the merge loop: ``load(packet)`` places a
+submitted packet on its device's cursor, and ``dispatch(arrival)`` is
+repeated at the cursor's advancing arrival time until the packet is
+admitted (each drop moves the cursor to the next free arrival slot — the
+paper's drop-and-retry).  :meth:`ServiceEngine.submit_batch` runs a
+wire read's worth of packets that way; :meth:`ServiceEngine.submit` is
+the one-packet case of it.  Each packet's :class:`PacketOutcome` is the
+delta of the live counters the offline result is built from.
 
 For a single-device fabric the offline merge loop is strictly sequential
 per packet, so submitting a trace's packets in trace order through this
@@ -26,7 +24,7 @@ parity is only guaranteed at ``devices.count == 1`` (see
 docs/SERVICE.md).
 
 Everything here is synchronous and picklable: the asyncio server calls
-:meth:`submit` from its single dispatcher task, and warm restart pickles
+the engine from its single dispatcher task, and warm restart pickles
 the engine state through the simulation checkpoint machinery (engine
 kind ``"service"``).  As offline, a service snapshot references the
 tenant system instead of containing it; a warm restart rebinds it onto
@@ -136,93 +134,49 @@ class ServiceEngine:
     def submit(self, packet: PacketRecord) -> PacketOutcome:
         """Run one packet through the model; returns its outcome.
 
-        Raises :class:`UnknownTenantError` for a SID outside the tenant
-        system — the tenant has no page tables, so there is nothing to
-        translate.
+        Exactly ``submit_batch((packet,))[0]``.
         """
-        if packet.sid not in self._valid_sids:
-            raise UnknownTenantError(packet.sid)
-        if self._flushed is not None:
-            # Submitting after flush() would double-count the end-of-run
-            # install drain; the server never does this, but fail loudly.
-            raise RuntimeError("ServiceEngine already flushed")
-        sim = self.sim
-        engine = sim.engines[self.device_for_sid(packet.sid)]
-
-        # Outcome capture: deltas of the same live counters the offline
-        # result is built from.
-        stats = sim.packet_stats
-        devtlb = engine.device.devtlb.stats
-        before_accepted = stats.accepted
-        before_retried = stats.retried
-        before_causes = dict(stats.drop_causes)
-        before_hits = devtlb.hits
-        before_misses = devtlb.misses
-        before_count = sim.latency_stats.count
-        before_total = sim.latency_stats.total_ns
-
-        # fetch_next, minus the router: place the packet on the cursor.
-        engine.current_packet = packet
-        engine.current_is_retry = False
-        engine.next_time = engine.clock + engine.wire_time(packet)
-        first_arrival = engine.next_time
-        engine.begin_packet()
-        # The merge loop, specialised to one pending cursor: re-dispatch
-        # this engine at its (advanced) next_time until admission.
-        while True:
-            arrival = engine.next_time
-            if engine.try_admit(arrival):
-                completion = engine.complete_packet(arrival)
-                break
-        self._last_completion = max(self._last_completion, completion)
-        self.processed += 1
-
-        causes: Dict[str, int] = {}
-        for cause, count in stats.drop_causes.items():
-            delta = count - before_causes.get(cause, 0)
-            if delta:
-                causes[cause] = delta
-        return PacketOutcome(
-            sid=packet.sid,
-            accepted=stats.accepted - before_accepted > 0,
-            drop_causes=causes,
-            retried=stats.retried - before_retried,
-            arrival_ns=first_arrival,
-            completion_ns=completion,
-            translations=sim.latency_stats.count - before_count,
-            devtlb_hits=devtlb.hits - before_hits,
-            devtlb_misses=devtlb.misses - before_misses,
-            latency_ns=sim.latency_stats.total_ns - before_total,
-        )
+        return self._submit((packet,))[0]
 
     def submit_batch(self, packets) -> "list[PacketOutcome]":
-        """Run a whole wire read through the model in one call.
+        """Run packets through the model in order; returns their outcomes.
 
-        Semantically identical to calling :meth:`submit` once per packet
-        in order — same structure accesses, same per-packet outcomes —
-        but the attribute lookups and counter captures are hoisted out
-        of the loop, so the server's dispatcher can translate a drained
-        queue batch without per-packet call overhead.
+        Each packet is loaded on its device's cursor and dispatched at
+        its (advancing) arrival time until admitted — the merge loop
+        specialised to one pending cursor.  A batch performs exactly the
+        structure accesses of one :meth:`submit` per packet, with the
+        lookups hoisted out of the loop.
 
-        Validation is *total*: every SID is checked before any packet
-        touches the model, so an :class:`UnknownTenantError` (or the
-        flush guard) raises with the engine state untouched — the server
-        can safely fall back to the per-packet path for a batch that
-        fails this precheck.
+        Raises :class:`UnknownTenantError` for a SID outside the tenant
+        system (it has no page tables, so there is nothing to translate)
+        and :class:`RuntimeError` after :meth:`flush`.  Validation is
+        total: every SID is checked before any packet touches the model,
+        so on either error the engine state is untouched.
         """
+        return self._submit(packets)
+
+    def _submit(self, packets) -> "list[PacketOutcome]":
+        # ``submit`` and ``submit_batch`` both call this body directly,
+        # so a profiler wrapping either method sees each call once.
         if self._flushed is not None:
+            # Submitting after flush() would double-count the end-of-run
+            # install drain; the server answers with an error reply.
             raise RuntimeError("ServiceEngine already flushed")
         valid = self._valid_sids
         for packet in packets:
             if packet.sid not in valid:
                 raise UnknownTenantError(packet.sid)
         sim = self.sim
+        engines = sim.engines
+        device_for_sid = sim.fabric.device_for_sid
         stats = sim.packet_stats
         latency_stats = sim.latency_stats
         outcomes = []
         last_completion = self._last_completion
         for packet in packets:
-            engine = sim.engines[self.device_for_sid(packet.sid)]
+            # Outcome capture: deltas of the same live counters the
+            # offline result is built from.
+            engine = engines[device_for_sid(packet.sid)]
             devtlb = engine.device.devtlb.stats
             before_accepted = stats.accepted
             before_retried = stats.retried
@@ -232,16 +186,11 @@ class ServiceEngine:
             before_count = latency_stats.count
             before_total = latency_stats.total_ns
 
-            engine.current_packet = packet
-            engine.current_is_retry = False
-            engine.next_time = engine.clock + engine.wire_time(packet)
+            engine.load(packet)
             first_arrival = engine.next_time
-            engine.begin_packet()
-            while True:
-                arrival = engine.next_time
-                if engine.try_admit(arrival):
-                    completion = engine.complete_packet(arrival)
-                    break
+            completion = engine.dispatch(first_arrival)
+            while completion is None:
+                completion = engine.dispatch(engine.next_time)
             if completion > last_completion:
                 last_completion = completion
 
@@ -272,20 +221,13 @@ class ServiceEngine:
     def flush(self) -> SimulationResult:
         """End-of-stream accounting; returns the aggregate result.
 
-        Mirrors the tail of the offline run loop exactly: in-flight
-        prefetch installs are applied, elapsed time is the latest of the
-        last completion and every device clock, and the result is built
-        at warmup 0.  Idempotent — repeated flushes return the same
-        result object.
+        The tail of the offline run loop, at warmup 0: in-flight prefetch
+        installs are applied and elapsed time is the latest of the last
+        completion and every device clock.  Idempotent — repeated
+        flushes return the same result object.
         """
         if self._flushed is None:
-            sim = self.sim
-            for engine in sim.engines:
-                engine.drain_installs(float("inf"))
-            elapsed = self._last_completion
-            for engine in sim.engines:
-                elapsed = max(elapsed, engine.clock)
-            self._flushed = sim._build_result(elapsed)
+            self._flushed = self.sim._finish(self._last_completion)
         return self._flushed
 
     def peek_result(self) -> SimulationResult:
@@ -297,10 +239,7 @@ class ServiceEngine:
         """
         if self._flushed is not None:
             return self._flushed
-        elapsed = self._last_completion
-        for engine in self.sim.engines:
-            elapsed = max(elapsed, engine.clock)
-        return self.sim._build_result(elapsed)
+        return self.sim._finish(self._last_completion, drain_installs=False)
 
     # ------------------------------------------------------------------
     # Warm restart (PR 5 checkpoint path, engine kind "service")

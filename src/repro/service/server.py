@@ -6,19 +6,26 @@ Architecture (one process, one event loop):
   protocol-level requests (``hello``, ``stats``, ``ping``) inline, and
   runs the per-tenant admission gates on each ``translate`` before
   enqueueing it;
-* one **dispatcher task** drains a single global FIFO queue and drives
-  the :class:`~repro.service.engine.ServiceEngine` one packet at a time.
-  A single queue gives the whole service a deterministic global
+* one **dispatcher task** drains a single global FIFO queue, up to
+  :data:`DISPATCH_WINDOW` requests per pass, and answers each pass
+  through one dispatch function (:meth:`ServiceServer._dispatch`).  A
+  single queue gives the whole service a deterministic global
   submission order — for one replay connection, exactly trace order,
   which is what the service-vs-offline parity tests rely on.
 
-The dispatcher is also where fabric-level backpressure runs, because PTB
-occupancy is only meaningful at the engine's virtual submission time:
-when a device's modeled PTB crosses the configured high watermark, the
-request is either **shed** with a typed ``backpressure`` error (the wire
-slot is still consumed — the paper's PTB-overflow drop at the service
-layer) or the device's virtual clock is **paused** to the PTB drain
-time before admission.
+A pass goes to the :class:`~repro.service.engine.ServiceEngine` as one
+``submit_batch`` call unless something can act between two packets —
+then it goes one request at a time.  That is where fabric-level
+backpressure runs, because PTB occupancy is only meaningful at the
+engine's virtual submission time: when a device's modeled PTB crosses
+the configured high watermark (or an SLO breach latches backpressure),
+the request is either **shed** with a typed ``backpressure`` error (the
+wire slot is still consumed — the paper's PTB-overflow drop at the
+service layer) or the device's virtual clock is **paused** to the PTB
+drain time before admission.  Span recording and the SLO watcher also
+take the one-at-a-time path.  Either way each packet sees the same
+engine sequence, so a client's answers do not depend on how the queue
+happened to batch.
 
 Requests queued by a client that disconnects mid-stream are discarded at
 dispatch: their admission slots are released and the engine never sees
@@ -75,6 +82,10 @@ from repro.trace.records import PacketRecord
 #: Dispatched packets between SLO-rule evaluations (cheap, but there is
 #: no reason to re-derive percentiles on every single packet).
 SLO_EVAL_INTERVAL = 16
+
+#: Max queued requests one dispatcher pass answers before it yields
+#: (passes drain in FIFO order, so the window never reorders requests).
+DISPATCH_WINDOW = 64
 
 #: Span names of the server-side request tree, in parent order.
 SPAN_WIRE = "wire.read"
@@ -234,7 +245,6 @@ class ServiceServer:
         spans=None,
         slo_watcher: Optional[SloWatcher] = None,
         slo_backpressure: bool = False,
-        batch_window: int = 64,
         policy: Optional[ConnectionPolicy] = None,
     ):
         self.engine = engine
@@ -252,10 +262,6 @@ class ServiceServer:
         self.slo_watcher = slo_watcher
         self.slo_backpressure = slo_backpressure
         self._dispatched_since_slo = 0
-        #: Max queued requests translated per dispatcher pass; 1 restores
-        #: strict per-packet dispatch (batching never reorders — packets
-        #: drain in FIFO order either way).
-        self.batch_window = max(1, batch_window)
         self._server: Optional[asyncio.base_events.Server] = None
         # Created in start(): on Python 3.9 asyncio primitives bind to the
         # event loop current at construction, which must be the running one.
@@ -268,9 +274,6 @@ class ServiceServer:
         #: Wall-clock service counters (wire-level, not modeled).
         self.requests_received = 0
         self.results_sent = 0
-        #: Requests translated via the whole-batch fast path vs one at a
-        #: time (observability for the dispatcher's batching behaviour).
-        self.batched_requests = 0
         #: Connection supervision bounds (docs/RESILIENCE.md knob table).
         self.policy = policy if policy is not None else ConnectionPolicy()
         #: Wire-level connection churn/shed counters, exported through
@@ -373,8 +376,6 @@ class ServiceServer:
     # Dispatcher
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        engine = self.engine
-        admission = self.admission
         queue = self._queue
         while True:
             item = await queue.get()
@@ -382,12 +383,11 @@ class ServiceServer:
                 queue.task_done()
                 return
             # One dispatcher pass: drain everything already queued (one
-            # wire read's worth of requests, up to the batch window)
-            # without yielding, then write replies and drain writers
-            # once per touched connection.
+            # wire read's worth of requests, up to the window) without
+            # yielding, then check the touched connections' writers once.
             batch = [item]
             stop = False
-            while len(batch) < self.batch_window:
+            while len(batch) < DISPATCH_WINDOW:
                 try:
                     extra = queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -396,49 +396,10 @@ class ServiceServer:
                     stop = True
                     break
                 batch.append(extra)
-            touched: Dict[int, _Connection] = {}
-            if (
-                len(batch) > 1
-                and self.spans is None
-                and admission.config.ptb_high_watermark is None
-                and not admission.slo_latched
-                and engine._flushed is None
-                and all(
-                    not it[0].closed and engine.knows_sid(it[2].sid)
-                    for it in batch
-                )
-            ):
-                # Whole-batch translate: no per-packet server-side branch
-                # can fire (no spans, no backpressure gate, every client
-                # alive, every SID known), so the engine runs the batch
-                # in one call with identical per-packet outcomes.
-                outcomes = engine.submit_batch([it[2] for it in batch])
-                self.batched_requests += len(outcomes)
-                for (conn, seq, packet, _), outcome in zip(batch, outcomes):
-                    try:
-                        admission.release(packet.sid)
-                        reply = outcome.to_wire(seq)
-                        if conn.session is not None:
-                            self._record_session_reply(
-                                conn.session, conn, seq, reply
-                            )
-                        else:
-                            conn.send(reply)
-                            self.results_sent += 1
-                        touched[id(conn)] = conn
-                    finally:
-                        conn.inflight -= 1
-                        self._maybe_evaluate_slo()
-                        queue.task_done()
-            else:
-                for it in batch:
-                    conn = self._dispatch_one(it)
-                    if conn is not None:
-                        touched[id(conn)] = conn
             # The dispatcher never awaits any one peer's drain — a peer
             # that stops reading is evicted once its write buffer
             # crosses the cap, instead of wedging every other client.
-            for conn in touched.values():
+            for conn in self._dispatch(batch).values():
                 if (
                     not conn.closed
                     and conn.buffer_size() > self.policy.max_write_buffer
@@ -451,105 +412,130 @@ class ServiceServer:
                 queue.task_done()
                 return
 
-    def _dispatch_one(self, item) -> Optional[_Connection]:
-        """Translate one queued request (the strict per-packet path).
+    def _dispatch(self, batch) -> Dict[int, _Connection]:
+        """Answer one pass's queued requests, in FIFO order.
 
-        Returns the connection a reply was written to, or ``None`` when
-        the request was discarded; the caller drains writers per pass.
+        Requests go to the engine in runs: the whole pass in one call
+        when nothing can act between two packets, one request per call
+        when something can — a backpressure gate (PTB watermark or SLO
+        latch), the SLO watcher, or the span recorder, each of which
+        needs exactly that packet's engine state or host time.  Every
+        packet goes through the same engine sequence either way, so what
+        a client is served never depends on how the queue happened to
+        batch.  Returns the connections a reply was written to.
         """
         engine = self.engine
         admission = self.admission
-        queue = self._queue
         spans = self.spans
-        conn, seq, packet, wire_span = item
-        session = conn.session
-        dispatch_span = None
-        if spans is not None:
-            dispatch_span = spans.start(
-                SPAN_DISPATCH, parent=wire_span, sid=packet.sid, seq=seq
-            )
-
-        def reply_with(reply: Dict[str, Any], is_result: bool) -> None:
-            """Deliver one final answer: session-cached or plain send."""
-            if session is not None:
-                self._record_session_reply(session, conn, seq, reply)
-            else:
-                conn.send(reply)
-                if is_result:
-                    self.results_sent += 1
-
-        try:
-            if conn.closed and session is None:
-                # Client died with this request still queued: discard
-                # it before the engine sees it — no engine-state leak.
-                # A *sessioned* request is translated anyway: the client
-                # is reconnecting and will resend this seq, and skipping
-                # it here would break the session's in-order guarantee.
-                admission.release(packet.sid)
-                if dispatch_span is not None:
-                    dispatch_span.attrs["outcome"] = "discarded"
-                return None
-            device_id = engine.device_for_sid(packet.sid)
-            occupancy = engine.ptb_occupancy(device_id)
-            if admission.check_backpressure(device_id, occupancy):
-                if admission.config.backpressure_mode == "shed":
-                    engine.shed_slot(packet)
-                    admission.record_shed(packet.sid)
-                    admission.release(packet.sid)
-                    reply_with(
-                        protocol.error_reply(
-                            protocol.E_BACKPRESSURE,
-                            f"PTB occupancy {occupancy} at high watermark; "
-                            f"request shed",
-                            seq=seq,
-                        ),
-                        is_result=False,
+        gated = (
+            admission.config.ptb_high_watermark is not None
+            or admission.slo_latched
+            or (self.slo_backpressure and self.slo_watcher is not None)
+        )
+        one_at_a_time = gated or spans is not None or self.slo_watcher is not None
+        run_length = 1 if one_at_a_time else len(batch)
+        touched: Dict[int, _Connection] = {}
+        for start in range(0, len(batch), run_length):
+            run = []
+            for conn, seq, packet, wire_span in batch[start:start + run_length]:
+                dispatch_span = None
+                if spans is not None:
+                    dispatch_span = spans.start(
+                        SPAN_DISPATCH, parent=wire_span, sid=packet.sid, seq=seq
                     )
-                    if dispatch_span is not None:
-                        dispatch_span.attrs["outcome"] = "shed"
-                    return conn
-                engine.stall_until_drained(
-                    device_id, admission.config.low_watermark()
-                )
+                if conn.closed and conn.session is None:
+                    # Client died with this request still queued: discard
+                    # it before the engine sees it — no engine-state leak.
+                    # A *sessioned* request is translated anyway: the
+                    # client is reconnecting and will resend this seq, and
+                    # skipping it here would break the session's in-order
+                    # guarantee.
+                    self._settle(conn, packet, dispatch_span, "discarded")
+                    continue
+                if gated:
+                    device_id = engine.device_for_sid(packet.sid)
+                    occupancy = engine.ptb_occupancy(device_id)
+                    if admission.check_backpressure(device_id, occupancy):
+                        if admission.config.backpressure_mode == "shed":
+                            engine.shed_slot(packet)
+                            admission.record_shed(packet.sid)
+                            self._reply(conn, seq, protocol.error_reply(
+                                protocol.E_BACKPRESSURE,
+                                f"PTB occupancy {occupancy} at high watermark; "
+                                f"request shed",
+                                seq=seq,
+                            ))
+                            self._settle(conn, packet, dispatch_span, "shed")
+                            touched[id(conn)] = conn
+                            continue
+                        engine.stall_until_drained(
+                            device_id, admission.config.low_watermark()
+                        )
+                run.append((conn, seq, packet, dispatch_span))
+            if not run:
+                continue
             step_span = None
-            phase_before = None
-            phases = engine.sim._phases
             if spans is not None:
+                # Spans force one request per run.
+                _, _, packet, dispatch_span = run[0]
                 step_span = spans.start(
                     SPAN_ENGINE, parent=dispatch_span, sid=packet.sid
                 )
-                if phases is not None:
-                    phase_before = phases.totals()
+                phases = engine.sim._phases
+                phase_before = phases.totals() if phases is not None else None
             try:
-                outcome = engine.submit(packet)
+                # A lone request goes through ``submit`` (the one-packet
+                # ``submit_batch``), so profilers that count the two
+                # entry points tell batched from per-request dispatch.
+                if len(run) == 1:
+                    outcomes = [engine.submit(run[0][2])]
+                else:
+                    outcomes = engine.submit_batch([it[2] for it in run])
             except Exception as error:
-                admission.release(packet.sid)
-                reply_with(
-                    protocol.error_reply(
-                        protocol.E_TRANSLATION, str(error), seq=seq
-                    ),
-                    is_result=False,
-                )
+                # The engine checks a whole run (SIDs, flushed) before it
+                # touches the model, so a refused run leaves no partial
+                # state; every request in it gets the error.
                 if step_span is not None:
                     spans.finish(step_span, error=str(error))
-                    dispatch_span.attrs["outcome"] = "error"
-                return conn
+                for conn, seq, packet, dispatch_span in run:
+                    self._reply(conn, seq, protocol.error_reply(
+                        protocol.E_TRANSLATION, str(error), seq=seq
+                    ))
+                    self._settle(conn, packet, dispatch_span, "error")
+                    touched[id(conn)] = conn
+                continue
             if step_span is not None:
-                spans.finish(step_span, accepted=outcome.accepted)
+                spans.finish(step_span, accepted=outcomes[0].accepted)
                 if phase_before is not None:
                     self._add_phase_spans(
                         step_span, phase_before, phases.totals(), packet.sid
                     )
-                dispatch_span.attrs["outcome"] = outcome.status
-            admission.release(packet.sid)
-            reply_with(outcome.to_wire(seq), is_result=True)
-            return conn
-        finally:
-            conn.inflight -= 1
-            if dispatch_span is not None:
-                spans.finish(dispatch_span)
-            self._maybe_evaluate_slo()
-            queue.task_done()
+            for (conn, seq, packet, dispatch_span), outcome in zip(run, outcomes):
+                self._reply(conn, seq, outcome.to_wire(seq))
+                self._settle(conn, packet, dispatch_span, outcome.status)
+                touched[id(conn)] = conn
+        return touched
+
+    def _reply(self, conn: _Connection, seq: int, reply: Dict[str, Any]) -> None:
+        """Deliver one request's final answer: session-cached or sent."""
+        if conn.session is not None:
+            self._record_session_reply(conn.session, conn, seq, reply)
+        else:
+            conn.send(reply)
+            if reply.get("type") == protocol.RESULT:
+                self.results_sent += 1
+
+    def _settle(self, conn: _Connection, packet, dispatch_span, outcome: str) -> None:
+        """Close out one dequeued request: its admission slot, the
+        connection's in-flight count, its dispatch span, the SLO tick and
+        the queue's task count."""
+        self.admission.release(packet.sid)
+        conn.inflight -= 1
+        if dispatch_span is not None:
+            dispatch_span.attrs["outcome"] = outcome
+            self.spans.finish(dispatch_span)
+        self._maybe_evaluate_slo()
+        self._queue.task_done()
 
     def _add_phase_spans(self, step_span, before, after, sid: int) -> None:
         """Synthesize phase children under one finished ``engine.step``.

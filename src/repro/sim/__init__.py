@@ -1,6 +1,5 @@
 """The HyperSIO performance model: analytic trace-driven timing."""
 
-from repro.sim.des import EventDrivenSimulator, EventKind, EventQueue, simulate_evented
 from repro.sim.oracle import FutureOracle, devtlb_key_sequence, oracle_for_trace
 from repro.sim.resources import ResourcePool, UnboundedPool
 from repro.sim.simulator import SIMULATE_ENGINES, HyperSimulator, simulate
@@ -12,10 +11,6 @@ from repro.sim.vectorized import (
 )
 
 __all__ = [
-    "EventDrivenSimulator",
-    "EventQueue",
-    "EventKind",
-    "simulate_evented",
     "FutureOracle",
     "devtlb_key_sequence",
     "oracle_for_trace",

@@ -9,8 +9,9 @@ from three roots:
   SID-predictor history, fault-injector RNG, telemetry window, counters),
 * the :class:`~repro.sim.engine.PacketRouter` (an index cursor into the
   trace plus per-device overflow queues),
-* the loop-state dataclass (``_AnalyticLoop`` or the event twin's
-  ``_EventLoop``, which carries the DES event queue).
+* the driver's loop-state object (``_AnalyticLoop`` for the merge loop;
+  any driver's ``_run_loop`` state works, since nothing here depends on
+  the engine kind).
 
 A snapshot holds that engine state only, never the trace it runs on.
 The trace — packets plus the tenant system (page tables, walkers, RNGs)
@@ -39,7 +40,8 @@ its references resolved against the trace.  The resumed run re-enters
 ``_run_loop`` with state bit-identical to the interrupted one — floats
 round-trip exactly, ``random.Random`` restores its Mersenne state, heaps
 and insertion-ordered dicts keep their order.  ``tests/test_checkpoint.py``
-pins byte-identity of resumed results for both engines.
+pins byte-identity of resumed results for the analytic engine and the
+event-queue oracle in ``tests/des_oracle.py``.
 
 Writes are atomic and durable: the stream goes to a same-directory temp
 file, is fsync'd, and then ``os.replace``\\ s the target, so a crash

@@ -10,11 +10,17 @@ translation of each request through the *shared* IOMMU, the prefetch
 pipeline with its pending-install heap, and per-device accounting
 (packet/latency stats, shared-IOTLB outcomes, walker queueing).
 
-Both top-level control flows drive the same engines: the analytic
-:class:`~repro.sim.simulator.HyperSimulator` merges per-device cursors by
-``(next_time, device_id)``, the event-driven twin in :mod:`repro.sim.des`
-schedules the identical steps through an event queue.  Keeping every
-structure access inside the engine is what makes the two engines
+Every driver runs the paper's per-packet sequence through two calls:
+:meth:`DeviceEngine.load` places a packet on the cursor, and
+:meth:`DeviceEngine.dispatch` makes one admission attempt at the
+cursor's arrival time (first-arrival accounting, then either admission
+plus the packet's translations or a drop that moves the cursor to the
+retry slot).  The analytic :class:`~repro.sim.simulator.HyperSimulator`
+merges per-device cursors by ``(next_time, device_id)`` and the service's
+:class:`~repro.service.engine.ServiceEngine` re-dispatches one cursor
+until admission; the event-driven oracle the tests check the merge loop
+against schedules the same two calls through an event queue.  Keeping
+every structure access inside the engine is what makes the drivers
 step-for-step identical — and makes a single-device run behave exactly
 like the pre-fabric monolith.
 
@@ -89,9 +95,8 @@ class DeviceEngine:
     Holds this device's packet cursor (``current_packet`` /
     ``next_time``), clock, and accounting, and implements the admission /
     translation / prefetch steps against the device's own structures plus
-    the fabric's shared chipset.  The driving simulator decides *when*
-    each step runs (merge loop or event queue); the engine guarantees the
-    steps themselves are identical.
+    the fabric's shared chipset.  The driver decides *when* each
+    :meth:`dispatch` runs; the engine guarantees what it does.
     """
 
     def __init__(self, sim, fabric, device_id: int):
@@ -115,12 +120,13 @@ class DeviceEngine:
         # Per-device clock and accounting.
         self.clock = 0.0
         self.last_completion = 0.0
-        self.packet_stats = PacketStats()
-        #: With one device the engine sees exactly the run-wide request
-        #: stream, so it shares the simulator's latency stats and each
-        #: latency is recorded once.
+        #: With one device the engine sees exactly the run-wide packet
+        #: and request streams, so it shares the simulator's stats objects
+        #: and each event is counted once.
+        single = fabric.num_devices == 1
+        self.packet_stats = sim.packet_stats if single else PacketStats()
         self.latency_stats = (
-            sim.latency_stats if fabric.num_devices == 1 else RequestLatencyStats()
+            sim.latency_stats if single else RequestLatencyStats()
         )
         self.invalidation_messages = 0
         #: Shared-IOTLB outcomes of this device's DevTLB misses, and the
@@ -165,22 +171,48 @@ class DeviceEngine:
         # Gb/s == bits/ns.
         return packet.size_bytes * 8 / timing.link_bandwidth_gbps
 
+    def load(self, packet) -> None:
+        """Place ``packet`` on the cursor, arriving one wire time after
+        the device clock."""
+        self.current_packet = packet
+        self.current_is_retry = False
+        self.next_time = self.clock + self.wire_time(packet)
+
     def fetch_next(self, router: PacketRouter) -> bool:
-        """Advance the cursor to this device's next trace packet."""
+        """Load this device's next trace packet; False when none is left."""
         packet = router.next_packet(self.device_id)
         if packet is None:
             self.current_packet = None
             return False
-        self.current_packet = packet
-        self.current_is_retry = False
-        self.next_time = self.clock + self.wire_time(packet)
+        self.load(packet)
         return True
+
+    def dispatch(self, arrival: float, drain_installs: bool = True) -> Optional[float]:
+        """One admission attempt of the packet on the cursor at ``arrival``.
+
+        The first attempt does the first-arrival accounting; a native run
+        then processes the packet at line rate, otherwise it is admitted
+        against this device's PTB and translated.  Returns the packet's
+        completion time, or ``None`` when the PTB was full: the drop is
+        counted and ``next_time`` has moved to the retry slot, where the
+        driver dispatches again (drop-and-retry, Section IV-C).
+        ``drain_installs`` is passed on to :meth:`complete_packet`.
+        """
+        if not self.current_is_retry:
+            self.begin_packet()
+        if self.sim.native:
+            return self.process_native(arrival)
+        if not self.try_admit(arrival):
+            return None
+        return self.complete_packet(arrival, drain_installs)
 
     def begin_packet(self) -> None:
         """First-arrival accounting (not repeated on admission retries)."""
-        self.sim.packet_stats.arrived += 1
-        self.packet_stats.arrived += 1
-        tracer = self.sim._tracer
+        sim = self.sim
+        sim.packet_stats.arrived += 1
+        if self.packet_stats is not sim.packet_stats:
+            self.packet_stats.arrived += 1
+        tracer = sim._tracer
         if tracer is not None:
             self._trace_packet = tracer.sample_packet()
 
@@ -196,7 +228,7 @@ class DeviceEngine:
 
         An active fault injector hooks in here, before the PTB check:
         scheduled storms/resets/leaks due by ``arrival`` are applied at
-        the same global dispatch point in both engines.
+        the same global dispatch point whatever drives the engine.
         """
         injector = self._injector
         if injector is not None and not self._apply_due_faults(injector, arrival):
@@ -205,10 +237,7 @@ class DeviceEngine:
         if ptb.can_accept(arrival):
             return True
         ptb.reject_packet()
-        self.sim.packet_stats.record_drop("ptb_overflow")
-        self.sim.packet_stats.retried += 1
-        self.packet_stats.record_drop("ptb_overflow")
-        self.packet_stats.retried += 1
+        self._record_drop("ptb_overflow", retried=1)
         if self._trace_packet:
             self.sim._tracer.emit(
                 ev.PACKET_DROP,
@@ -265,12 +294,8 @@ class DeviceEngine:
         self._inflight_prefetches.clear()
         self._last_predicted_sid = None
         device.ptb.flush()
-        sim = self.sim
-        sim.packet_stats.record_drop("device_reset")
-        sim.packet_stats.retried += 1
-        self.packet_stats.record_drop("device_reset")
-        self.packet_stats.retried += 1
-        tracer = sim._tracer
+        self._record_drop("device_reset", retried=1)
+        tracer = self.sim._tracer
         if tracer is not None:
             tracer.emit(
                 ev.FAULT_DEVICE_RESET,
@@ -322,13 +347,32 @@ class DeviceEngine:
     # ------------------------------------------------------------------
     # Packet processing
     # ------------------------------------------------------------------
+    def _record_drop(self, cause: str, retried: int) -> None:
+        """Count one drop of the packet on the cursor (``retried`` 1 when
+        it will be retried), run-wide and, with several devices, per
+        device."""
+        run_wide = self.sim.packet_stats
+        run_wide.record_drop(cause)
+        run_wide.retried += retried
+        own = self.packet_stats
+        if own is not run_wide:
+            own.record_drop(cause)
+            own.retried += retried
+
+    def _record_accepted(self, packet) -> None:
+        """Count ``packet`` as accepted and processed, run-wide and, with
+        several devices, per device."""
+        run_wide = self.sim.packet_stats
+        run_wide.accepted += 1
+        run_wide.record_processed(packet)
+        own = self.packet_stats
+        if own is not run_wide:
+            own.accepted += 1
+            own.record_processed(packet)
+
     def process_native(self, arrival: float) -> float:
         """Native (no-translation) path: processed at line rate."""
-        packet = self.current_packet
-        self.sim.packet_stats.accepted += 1
-        self.packet_stats.accepted += 1
-        self.sim.packet_stats.record_processed(packet)
-        self.packet_stats.record_processed(packet)
+        self._record_accepted(self.current_packet)
         self.clock = arrival
         self.last_completion = max(self.last_completion, arrival)
         return arrival
@@ -337,8 +381,8 @@ class DeviceEngine:
         """All the work of one *accepted* packet; returns its completion.
 
         ``drain_installs`` applies prefetch installs due by ``arrival``
-        inline (the analytic engine); the event engine passes ``False``
-        and fires installs as their own events instead.
+        inline; an event-queue driver passes ``False`` and fires installs
+        as their own events instead (see :meth:`pop_pending_installs`).
         """
         sim = self.sim
         packet = self.current_packet
@@ -367,10 +411,7 @@ class DeviceEngine:
                 self.last_completion = max(self.last_completion, completion)
                 return completion
             completion = max(completion, finished)
-        sim.packet_stats.accepted += 1
-        self.packet_stats.accepted += 1
-        sim.packet_stats.record_processed(packet)
-        self.packet_stats.record_processed(packet)
+        self._record_accepted(packet)
         self.clock = arrival
         self.last_completion = max(self.last_completion, completion)
         return completion
@@ -451,8 +492,7 @@ class DeviceEngine:
                             page=page, attempt=attempt, **self._extra,
                         )
                     if attempt >= timing.fault_max_retries:
-                        sim.packet_stats.record_drop("translation_fault")
-                        self.packet_stats.record_drop("translation_fault")
+                        self._record_drop("translation_fault", retried=0)
                         drop_tracer = sim._tracer
                         if drop_tracer is not None:
                             drop_tracer.emit(
@@ -720,9 +760,9 @@ class DeviceEngine:
     def pop_pending_installs(self):
         """Drain the pending-install heap in (time, issue) order.
 
-        The event engine lifts these into ``PREFETCH_INSTALL`` events right
-        after issuing them, so the heap never carries entries across
-        packets there.
+        An event-queue driver lifts these into install events right after
+        each dispatch, so the heap never carries entries across packets
+        there.
         """
         pending = self._pending_installs
         items = []

@@ -23,8 +23,10 @@ Timing is analytic rather than event-queued: each request's latency is
 fully determined at issue, so PTB occupancy and bounded IOMMU walker pools
 are tracked as min-heaps of completion times (exact for this model).  The
 run loop merges the per-device packet cursors in global ``(time,
-device_id)`` order, which makes shared-chipset accesses happen in the same
-order as the event-driven twin (:mod:`repro.sim.des`).  Two documented
+device_id)`` order and makes one :meth:`~repro.sim.engine.DeviceEngine.
+dispatch` per step, so shared-chipset accesses happen in the order an
+event queue would pop them (``tests/des_oracle.py`` checks exactly that,
+packet for packet, at any device count).  Two documented
 approximations, both also present in trace-driven models of this kind:
 cache state is updated in trace order (a request that arrives while a fill
 for the same page is still in flight counts as a hit — zero-cost
@@ -140,7 +142,7 @@ class HyperSimulator:
             for device_id in range(self.fabric.num_devices)
         ]
 
-    #: Engine kind recorded in checkpoints (the event twin overrides).
+    #: Engine kind recorded in checkpoints (subclasses override).
     _engine_kind = "analytic"
 
     # ------------------------------------------------------------------
@@ -219,18 +221,12 @@ class HyperSimulator:
         while active:
             # Merge the per-device cursors: the globally earliest pending
             # arrival (retries included) runs next, ties broken by device
-            # id — the same order the event queue in repro.sim.des pops.
+            # id — the order an event queue keyed the same way pops.
             engine = min(active, key=_engine_order)
             arrival = engine.next_time
-            if not engine.current_is_retry:
-                engine.begin_packet()
-            if native:
-                # No translation: the packet is processed at line rate.
-                completion = engine.process_native(arrival)
-            else:
-                if not engine.try_admit(arrival):
-                    continue
-                completion = engine.complete_packet(arrival)
+            completion = engine.dispatch(arrival)
+            if completion is None:
+                continue
             state.last_completion = max(state.last_completion, completion)
             state.processed += 1
             if telemetry is not None and not native:
@@ -246,22 +242,40 @@ class HyperSimulator:
                 active.remove(engine)
             if policy is not None:
                 self._checkpoint_barrier(policy, router, state)
-
-        # Apply prefetches still in flight when the trace ends, so final
-        # cache-state accounting matches the event-driven engine.
-        for engine in engines:
-            engine.drain_installs(float("inf"))
-        elapsed = state.last_completion
-        for engine in engines:
-            elapsed = max(elapsed, engine.clock)
-        if telemetry is not None:
-            # Flush the trailing partial window so tail packets are not
-            # silently excluded from the windowed series.
-            telemetry.finish(elapsed)
-        return self._build_result(
-            elapsed,
+        return self._finish(
+            state.last_completion,
             measure_from_ns=state.measure_from_ns,
             measure_from_bytes=state.measure_from_bytes,
+        )
+
+    def _finish(
+        self,
+        last_completion: float,
+        measure_from_ns: float = 0.0,
+        measure_from_bytes: int = 0,
+        drain_installs: bool = True,
+    ) -> SimulationResult:
+        """The end of a run: the result as of now.
+
+        Prefetches still in flight are applied (unless
+        ``drain_installs`` is false, for a mid-stream look), elapsed time
+        is the latest of ``last_completion`` and every device clock, and
+        the telemetry's trailing partial window is flushed so tail
+        packets are not silently excluded from the windowed series.
+        """
+        engines = self.engines
+        if drain_installs:
+            for engine in engines:
+                engine.drain_installs(float("inf"))
+        elapsed = last_completion
+        for engine in engines:
+            elapsed = max(elapsed, engine.clock)
+        if self.telemetry is not None:
+            self.telemetry.finish(elapsed)
+        return self._build_result(
+            elapsed,
+            measure_from_ns=measure_from_ns,
+            measure_from_bytes=measure_from_bytes,
         )
 
     # ------------------------------------------------------------------
@@ -326,7 +340,7 @@ class HyperSimulator:
         engines to drop the tenant's in-flight prefetch installs), then
         the IOVA history the prefetcher reads, then every device path's
         local caches.  Called from the engine dispatch path at the same
-        global ``(time, device)`` point in both simulator engines.
+        global ``(time, device)`` point whatever drives the engines.
         """
         chipset = self.fabric.chipset
         chipset.iommu.invalidate_tenant(storm.sid)
@@ -522,7 +536,7 @@ def _merged_ptb_stats(stats_iter) -> PtbStats:
 
 
 #: Engine names accepted by :func:`simulate`'s ``engine`` argument.
-SIMULATE_ENGINES = ("analytic", "evented", "vectorized")
+SIMULATE_ENGINES = ("analytic", "vectorized")
 
 
 def simulate(
@@ -543,10 +557,9 @@ def simulate(
     """One-call convenience: build a simulator and run it.
 
     ``engine`` selects the implementation: ``"analytic"`` (this
-    module's merge loop), ``"evented"`` (the event-driven twin), or
-    ``"vectorized"`` (the struct-of-arrays batch engine).  All three
-    return byte-identical results for supported configurations; the
-    vectorized engine raises
+    module's merge loop) or ``"vectorized"`` (the struct-of-arrays batch
+    engine).  Both return byte-identical results for supported
+    configurations; the vectorized engine raises
     :class:`~repro.sim.vectorized.VectorizedUnsupportedError` for fault
     plans and checkpoint/resume.
 
@@ -561,16 +574,14 @@ def simulate(
     config or trace raises :class:`~repro.sim.checkpoint.CheckpointError`.
     """
     if engine != "analytic":
-        if engine == "evented":
-            from repro.sim.des import simulate_evented as delegate
-        elif engine == "vectorized":
-            from repro.sim.vectorized import simulate_vectorized as delegate
-        else:
+        if engine != "vectorized":
             raise ValueError(
                 f"unknown engine {engine!r}; choose one of "
                 f"{', '.join(SIMULATE_ENGINES)}"
             )
-        return delegate(
+        from repro.sim.vectorized import simulate_vectorized
+
+        return simulate_vectorized(
             config,
             trace,
             native=native,

@@ -115,7 +115,7 @@ class VectorizedSimulator(HyperSimulator):
         if self._injector is not None:
             raise VectorizedUnsupportedError(
                 "fault plans are not supported by the vectorized engine; "
-                "run with engine='analytic' or engine='evented'"
+                "run with engine='analytic'"
             )
         #: Introspection of the last :meth:`run`: ``mode`` is ``"batch"``
         #: or ``"fallback"`` (with ``reason``), and the block counters
@@ -140,7 +140,7 @@ class VectorizedSimulator(HyperSimulator):
             raise VectorizedUnsupportedError(
                 "checkpointing is not supported by the vectorized engine "
                 "(batch execution has no per-packet barrier); run with "
-                "engine='analytic' or engine='evented'"
+                "engine='analytic'"
             )
         reason = self._fallback_reason()
         if reason is not None:
@@ -688,9 +688,8 @@ class VectorizedSimulator(HyperSimulator):
         measure_from_bytes = (
             int(sizes[:warmup_packets].sum()) if warmup_packets else 0
         )
-        elapsed = last_completion if last_completion > clock else clock
-        return self._build_result(
-            elapsed,
+        return self._finish(
+            last_completion,
             measure_from_ns=measure_from_ns,
             measure_from_bytes=measure_from_bytes,
         )
@@ -720,7 +719,7 @@ def simulate_vectorized(
         raise VectorizedUnsupportedError(
             "resume is not supported by the vectorized engine "
             "(vectorized runs never write checkpoints); resume with "
-            "engine='analytic' or engine='evented'"
+            "engine='analytic'"
         )
     simulator = VectorizedSimulator(
         config,

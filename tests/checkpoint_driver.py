@@ -39,7 +39,7 @@ def build_fault_plan():
 def run_clean(engine: str, packets: int):
     """The uninterrupted reference run (also used in-process by the test)."""
     from repro.core.config import hypertrio_config
-    from repro.sim.des import simulate_evented
+    from tests.des_oracle import simulate_evented
     from repro.sim.simulator import simulate
     from repro.trace.constructor import construct_trace
     from repro.trace.tenant import profile_by_name
@@ -62,7 +62,7 @@ def run_clean(engine: str, packets: int):
 def main(argv=None) -> int:
     from repro.core.config import hypertrio_config
     from repro.runner.serialize import result_to_dict
-    from repro.sim.des import simulate_evented
+    from tests.des_oracle import simulate_evented
     from repro.sim.simulator import simulate
     from repro.trace.constructor import construct_trace
     from repro.trace.tenant import profile_by_name

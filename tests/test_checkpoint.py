@@ -28,11 +28,11 @@ from repro.obs import Observability
 from repro.obs import events as ev
 from repro.runner.serialize import result_to_dict
 from repro.sim import checkpoint as ckpt
-from repro.sim.des import simulate_evented
 from repro.sim.simulator import simulate
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import profile_by_name
 
+from tests.des_oracle import simulate_evented
 from tests.golden_common import GOLDEN_PATH, GOLDEN_POINTS, compute_golden_point
 
 

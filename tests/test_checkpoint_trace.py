@@ -22,11 +22,12 @@ from repro.cli import main
 from repro.core.config import TlbConfig, base_config, hypertrio_config
 from repro.runner.serialize import result_to_dict
 from repro.sim import checkpoint as ckpt
-from repro.sim.des import simulate_evented
 from repro.sim.simulator import HyperSimulator, simulate
 from repro.trace.constructor import construct_trace, rebuild_trace, with_trace_file
 from repro.trace.records import write_trace
 from repro.trace.tenant import profile_by_name
+
+from tests.des_oracle import simulate_evented
 
 ENGINES = {"analytic": simulate, "event": simulate_evented}
 

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import DeviceConfig, base_config, hypertrio_config
 from repro.runner.serialize import result_to_dict
-from repro.sim.des import EventDrivenSimulator, EventKind, EventQueue, simulate_evented
 from repro.sim.simulator import HyperSimulator
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import IPERF3, KEYVALUE, MEDIASTREAM
+
+from tests.des_oracle import EventDrivenSimulator, EventKind, EventQueue, simulate_evented
 
 
 def _fresh_trace(profile=MEDIASTREAM, tenants=8, packets=900, interleaving="RR1"):

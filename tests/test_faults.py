@@ -39,10 +39,11 @@ from repro.faults import (
 from repro.runner.serialize import result_to_dict
 from repro.runner.spec import JobSpec
 from repro.analysis.scale import RunScale
-from repro.sim.des import simulate_evented
 from repro.sim.simulator import HyperSimulator, simulate
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import MEDIASTREAM
+
+from tests.des_oracle import simulate_evented
 
 
 def _trace(tenants=4, packets=800, interleaving="RR1"):

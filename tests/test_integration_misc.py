@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.config import base_config, hypertrio_config
 from repro.iommu.iommu import Iommu
-from repro.sim.des import EventDrivenSimulator
 from repro.sim.simulator import HyperSimulator
 from repro.sim.telemetry import Telemetry
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import IPERF3, MEDIASTREAM
 from repro.trace.validate import validate_trace
+
+from tests.des_oracle import EventDrivenSimulator
 
 
 def _trace(**overrides):

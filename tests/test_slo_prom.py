@@ -225,7 +225,7 @@ class TestFleetRegistry:
         assert registry.snapshot()["counters"] == []
 
 
-def serve_with_slo(rules, slo_backpressure=False, packets=PACKETS):
+def serve_with_slo(rules, slo_backpressure=False, packets=PACKETS, window=16):
     """Replay against a server with an armed SLO watcher."""
 
     async def run():
@@ -239,7 +239,7 @@ def serve_with_slo(rules, slo_backpressure=False, packets=PACKETS):
         await server.start()
         client = ServiceClient("127.0.0.1", server.port)
         await client.connect()
-        outcomes = await client.replay(trace.packets, window=16)
+        outcomes = await client.replay(trace.packets, window=window)
         stats = await client.stats()
         prom = await client.stats("prom")
         await client.close()
@@ -268,10 +268,11 @@ class TestServiceSlo:
         assert "repro_service_requests_total" in text
         assert "repro_translation_latency_ns" in text
 
-    def test_slo_backpressure_sheds_requests(self):
+    @pytest.mark.parametrize("window", [16, 64])
+    def test_slo_backpressure_sheds_requests(self, window):
         rules = [SloRule(name="tail", kind="latency_quantile", threshold=0.0)]
         server, outcomes, stats, _ = serve_with_slo(
-            rules, slo_backpressure=True
+            rules, slo_backpressure=True, window=window
         )
         assert server.admission.slo_latched is True
         shed = [
@@ -282,8 +283,9 @@ class TestServiceSlo:
             reply for reply in outcomes if reply.get("type") == protocol.RESULT
         ]
         # The watcher runs every SLO_EVAL_INTERVAL dispatches: requests up
-        # to the first evaluation land, everything after it is shed.
-        assert len(accepted) >= SLO_EVAL_INTERVAL
+        # to the first evaluation land, everything after it is shed —
+        # however many requests the client keeps in flight.
+        assert len(accepted) == SLO_EVAL_INTERVAL
         assert shed, "expected backpressure sheds after the first breach"
         assert len(accepted) + len(shed) == PACKETS
 

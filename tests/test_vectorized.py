@@ -164,9 +164,10 @@ class TestTargetedRegimes:
         _assert_parity(_config(), packets=1200, warmup=300)
 
     def test_engine_latency_stats_are_the_run_wide_stats(self):
-        # At devices=1 the device engine's latency mirror must not go
-        # stale, whichever engine ran: after the batch pass it holds
-        # exactly what the run-wide stats (and the result) report.
+        # At devices=1 the device engine's latency and packet mirrors
+        # must not go stale, whichever engine ran: after the batch pass
+        # they hold exactly what the run-wide stats (and the result)
+        # report.
         config = _config(policy="lfu", ptb=4)
         for simulator in (
             HyperSimulator(config, _trace()),
@@ -176,6 +177,9 @@ class TestTargetedRegimes:
             engine = simulator.engines[0]
             assert engine.latency_stats == simulator.latency_stats
             assert engine.latency_stats.count == result.latency.count > 0
+            assert engine.packet_stats == simulator.packet_stats
+            assert engine.packet_stats.arrived == result.packets.arrived > 0
+            assert engine.packet_stats.dropped == result.packets.dropped > 0
         assert simulator.batch_stats["mode"] == "batch"
 
     def test_prefetch_config_falls_back_with_reason(self):
@@ -200,19 +204,29 @@ class TestRefusals:
             seed=0,
             translation_faults=(TranslationFaultSpec(probability=0.5),),
         )
-        with pytest.raises(VectorizedUnsupportedError):
+        with pytest.raises(VectorizedUnsupportedError) as refused:
             VectorizedSimulator(_config(), _trace(), fault_plan=plan)
+        _assert_points_at_analytic(refused.value)
 
     def test_checkpointing_refused(self, tmp_path):
         simulator = VectorizedSimulator(_config(), _trace())
-        with pytest.raises(VectorizedUnsupportedError):
+        with pytest.raises(VectorizedUnsupportedError) as refused:
             simulator.run(
                 checkpoint_every=100, checkpoint_path=tmp_path / "x.ckpt"
             )
+        _assert_points_at_analytic(refused.value)
 
     def test_resume_refused(self):
-        with pytest.raises(VectorizedUnsupportedError):
+        with pytest.raises(VectorizedUnsupportedError) as refused:
             simulate_vectorized(_config(), None, resume_from="whatever.ckpt")
+        _assert_points_at_analytic(refused.value)
+
+
+def _assert_points_at_analytic(error):
+    """A refusal names the engine that does support the feature, and
+    only engines that still exist."""
+    assert "engine='analytic'" in str(error)
+    assert "evented" not in str(error)
 
 
 class TestEngineDispatch:
